@@ -32,7 +32,6 @@
 pub mod backbones;
 pub mod esnet;
 pub mod experiments;
-pub mod extensions;
 pub mod metrics;
 pub mod resilience;
 pub mod segnet;

@@ -13,6 +13,9 @@
 //! | `SbsNpu`  | preview + SBS      | NPU           | downsampled        |
 //! | `Solo`    | preview + SBS      | accelerator   | downsampled        |
 
+use std::collections::HashMap;
+use std::fmt;
+
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -285,7 +288,13 @@ impl Trace {
 }
 
 /// The assembled SoC model.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A sensor readout costs what its sampling pattern costs, whatever the
+/// frame, so the model simulates each distinct preview and SBS re-read once
+/// and every later pricing call looks it up. The memo is a cache, not
+/// state: equality and `Debug` see the configuration only, and a warm
+/// model prices exactly like a fresh one.
+#[derive(Clone)]
 pub struct SocModel {
     gpu: GpuModel,
     npu: NpuModel,
@@ -297,6 +306,68 @@ pub struct SocModel {
     pub lighting: Lighting,
     /// Token keep ratio for GT-ViT (paper: 0.7).
     pub keep_ratio: f64,
+    readouts: ReadoutMemo,
+}
+
+impl PartialEq for SocModel {
+    fn eq(&self, other: &Self) -> bool {
+        let Self {
+            gpu,
+            npu,
+            accelerator,
+            mipi,
+            dram,
+            display,
+            lighting,
+            keep_ratio,
+            readouts: _,
+        } = self;
+        (
+            gpu,
+            npu,
+            accelerator,
+            mipi,
+            dram,
+            display,
+            lighting,
+            keep_ratio,
+        ) == (
+            &other.gpu,
+            &other.npu,
+            &other.accelerator,
+            &other.mipi,
+            &other.dram,
+            &other.display,
+            &other.lighting,
+            &other.keep_ratio,
+        )
+    }
+}
+
+impl fmt::Debug for SocModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Self {
+            gpu,
+            npu,
+            accelerator,
+            mipi,
+            dram,
+            display,
+            lighting,
+            keep_ratio,
+            readouts: _,
+        } = self;
+        f.debug_struct("SocModel")
+            .field("gpu", gpu)
+            .field("npu", npu)
+            .field("accelerator", accelerator)
+            .field("mipi", mipi)
+            .field("dram", dram)
+            .field("display", display)
+            .field("lighting", lighting)
+            .field("keep_ratio", keep_ratio)
+            .finish()
+    }
 }
 
 impl Default for SocModel {
@@ -310,6 +381,7 @@ impl Default for SocModel {
             display: Display,
             lighting: Lighting::Normal,
             keep_ratio: 0.7,
+            readouts: ReadoutMemo::default(),
         }
     }
 }
@@ -333,21 +405,19 @@ impl SocModel {
     ) -> CostBreakdown {
         let full = dataset.full_side();
         let down = dataset.down_side();
-        let sensor = Sensor::new(full, full);
         let mut cost = CostBreakdown::default();
 
         // --- Sensing + MIPI ---------------------------------------------
         if pipeline.uses_sbs() {
             // Phase 1: expose once, read the even-subsampled preview I_d.
-            let preview = sensor.subsampled_readout(down, down, self.lighting);
+            let preview = self.preview_readout(dataset);
             add_sensor(&mut cost, &preview);
             let m1 = self.mipi.transfer_frame(down, down, 3);
             cost.mipi.0 += m1.latency;
             cost.mipi.1 += m1.energy;
             // Phase 2: SBS re-read of the saliency-selected pixels from the
             // already-exposed array (no second exposure).
-            let selection = synthetic_foveated_selection(full, down);
-            let resense = sensor.sbs_readout(&selection, self.lighting);
+            let resense = self.sbs_reread(dataset, down, &[]);
             cost.sensing.0 += resense.adc_readout;
             cost.sensing.1 += resense.adc_energy;
             let m2 = self.mipi.transfer_frame(down, down, 3);
@@ -355,7 +425,7 @@ impl SocModel {
             cost.mipi.1 += m2.energy;
             stage_dram(&mut cost, &self.dram, 2 * down * down * 3);
         } else {
-            let capture = sensor.full_readout(self.lighting);
+            let capture = Sensor::new(full, full).full_readout(self.lighting);
             add_sensor(&mut cost, &capture);
             let m = self.mipi.transfer_frame(full, full, 3);
             cost.mipi.0 += m.latency;
@@ -446,11 +516,9 @@ impl SocModel {
     /// previous label map (no SBS re-sense, no segmentation, no new
     /// display push).
     pub fn skip_path(&self, dataset: Dataset) -> CostBreakdown {
-        let full = dataset.full_side();
         let down = dataset.down_side();
-        let sensor = Sensor::new(full, full);
         let mut cost = CostBreakdown::default();
-        let preview = sensor.subsampled_readout(down, down, self.lighting);
+        let preview = self.preview_readout(dataset);
         add_sensor(&mut cost, &preview);
         let m = self.mipi.transfer_frame(down, down, 3);
         cost.mipi.0 += m.latency;
@@ -485,11 +553,10 @@ impl SocModel {
     ) -> CostBreakdown {
         let full = dataset.full_side();
         let down = dataset.down_side();
-        let sensor = Sensor::new(full, full);
         let mut cost = CostBreakdown::default();
 
         // Phase 1: preview, unchanged.
-        let preview = sensor.subsampled_readout(down, down, self.lighting);
+        let preview = self.preview_readout(dataset);
         add_sensor(&mut cost, &preview);
         let m1 = self.mipi.transfer_frame(down, down, 3);
         cost.mipi.0 += m1.latency;
@@ -498,8 +565,7 @@ impl SocModel {
         // at down², so MIPI/DRAM traffic is unchanged; only the ADC rounds
         // grow with the wider selection footprint.
         let side = ((down as f64 * widen.max(1.0).sqrt()).round() as usize).min(full);
-        let selection = synthetic_foveated_selection(full, side);
-        let resense = sensor.sbs_readout_with_dead_groups(&selection, self.lighting, dead_groups);
+        let resense = self.sbs_reread(dataset, side, dead_groups);
         cost.sensing.0 += resense.adc_readout;
         cost.sensing.1 += resense.adc_energy;
         let m2 = self.mipi.transfer_frame(down, down, 3);
@@ -572,11 +638,9 @@ impl SocModel {
     /// phase-2 re-sense, second MIPI transfer and ESNet — strictly cheaper
     /// than the nominal SOLO frame.
     pub fn uniform_fallback_path(&self, backbone: Backbone, dataset: Dataset) -> CostBreakdown {
-        let full = dataset.full_side();
         let down = dataset.down_side();
-        let sensor = Sensor::new(full, full);
         let mut cost = CostBreakdown::default();
-        let preview = sensor.subsampled_readout(down, down, self.lighting);
+        let preview = self.preview_readout(dataset);
         add_sensor(&mut cost, &preview);
         let m = self.mipi.transfer_frame(down, down, 3);
         cost.mipi.0 += m.latency;
@@ -664,6 +728,31 @@ impl SocModel {
         self.evaluate(Pipeline::Solo, backbone, dataset)
     }
 
+    /// The phase-1 preview readout `I_f^d`: the staggered `down²` grid.
+    fn preview_readout(&self, dataset: Dataset) -> SensorCost {
+        self.readouts.get(Readout::Preview {
+            full: dataset.full_side(),
+            down: dataset.down_side(),
+            lighting: self.lighting,
+        })
+    }
+
+    /// The phase-2 SBS re-read of the synthetic `side²` foveated selection,
+    /// with the PS rows of `dead_groups` never converted. Order and
+    /// repeats in `dead_groups` do not change the readout, so the key
+    /// holds the sorted set.
+    fn sbs_reread(&self, dataset: Dataset, side: usize, dead_groups: &[usize]) -> SensorCost {
+        let mut dead = dead_groups.to_vec();
+        dead.sort_unstable();
+        dead.dedup();
+        self.readouts.get(Readout::Sbs {
+            full: dataset.full_side(),
+            side,
+            dead,
+            lighting: self.lighting,
+        })
+    }
+
     /// Speedup of `pipeline` over the FR+GPU reference (Fig. 13 (b) top).
     pub fn speedup(&self, pipeline: Pipeline, backbone: Backbone, dataset: Dataset) -> f64 {
         let reference = self.evaluate(Pipeline::FrGpu, backbone, dataset).latency();
@@ -676,6 +765,76 @@ impl SocModel {
         let reference = self.evaluate(Pipeline::FrGpu, backbone, dataset).energy();
         let ours = self.evaluate(pipeline, backbone, dataset).energy();
         reference / ours
+    }
+}
+
+/// One sensor readout of a `full²` array, keyed by everything its cost
+/// depends on.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Readout {
+    /// The staggered `down²` preview grid.
+    Preview {
+        full: usize,
+        down: usize,
+        lighting: Lighting,
+    },
+    /// The synthetic `side²` foveated selection, minus the rows of the
+    /// sorted, deduplicated `dead` ADC sub-groups.
+    Sbs {
+        full: usize,
+        side: usize,
+        dead: Vec<usize>,
+        lighting: Lighting,
+    },
+}
+
+impl Readout {
+    /// Simulates the readout on the sensor.
+    fn sense(&self) -> SensorCost {
+        match *self {
+            Readout::Preview {
+                full,
+                down,
+                lighting,
+            } => Sensor::new(full, full).subsampled_readout(down, down, lighting),
+            Readout::Sbs {
+                full,
+                side,
+                ref dead,
+                lighting,
+            } => {
+                let selection = synthetic_foveated_selection(full, side);
+                Sensor::new(full, full).sbs_readout_with_dead_groups(&selection, lighting, dead)
+            }
+        }
+    }
+}
+
+/// Simulated readouts by key. A miss simulates outside the lock and then
+/// inserts, so a fill that panics inserts nothing; two threads racing on
+/// one key insert the same value.
+#[derive(Default)]
+struct ReadoutMemo(Mutex<HashMap<Readout, SensorCost>>);
+
+impl ReadoutMemo {
+    fn get(&self, key: Readout) -> SensorCost {
+        let hit = self.0.lock().get(&key).copied();
+        hit.unwrap_or_else(|| {
+            let cost = key.sense();
+            self.0.lock().insert(key, cost);
+            cost
+        })
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.0.lock().len()
+    }
+}
+
+impl Clone for ReadoutMemo {
+    fn clone(&self) -> Self {
+        Self(Mutex::new(self.0.lock().clone()))
     }
 }
 
@@ -988,6 +1147,107 @@ mod tests {
             let floor = soc().batched_solo_path(b, d, 1 << 20);
             assert!(floor.latency() > solo.sensing_mipi().0);
         }
+    }
+
+    const DATASETS: [Dataset; 4] = [Dataset::Ade, Dataset::Lvis, Dataset::Aria, Dataset::Davis];
+    const PIPELINES: [Pipeline; 7] = [
+        Pipeline::FrGpu,
+        Pipeline::SubGpu,
+        Pipeline::SubAcc,
+        Pipeline::SubNpu,
+        Pipeline::SbsGpu,
+        Pipeline::SbsNpu,
+        Pipeline::Solo,
+    ];
+    const LIGHTINGS: [Lighting; 3] = [Lighting::Normal, Lighting::High, Lighting::Low];
+
+    type Price = Box<dyn Fn(&SocModel) -> CostBreakdown>;
+
+    /// Every pricing path, for every backbone and dataset, at the widen
+    /// factors, dead-group sets, batch sizes and speculation depths the
+    /// serving and streaming layers use.
+    fn every_price() -> Vec<Price> {
+        let mut prices: Vec<Price> = Vec::new();
+        for b in Backbone::ALL {
+            for d in DATASETS {
+                for p in PIPELINES {
+                    prices.push(Box::new(move |m| m.evaluate(p, b, d)));
+                }
+                prices.push(Box::new(move |m| m.skip_path(d)));
+                prices.push(Box::new(move |m| m.uniform_fallback_path(b, d)));
+                prices.push(Box::new(move |m| m.speculative_commit_path(b, d)));
+                prices.push(Box::new(move |m| m.quarantined_stub_path(d)));
+                prices.push(Box::new(move |m| m.probe_path(b, d)));
+                for widen in [1.0, 1.5, 2.0, 4.0] {
+                    for dead in [&[][..], &[1], &[3, 1], &[1, 1]] {
+                        prices.push(Box::new(move |m| m.degraded_solo_path(b, d, widen, dead)));
+                    }
+                }
+                for batch in 1..=64 {
+                    prices.push(Box::new(move |m| m.batched_solo_path(b, d, batch)));
+                }
+                for k in 0..=4 {
+                    prices.push(Box::new(move |m| m.speculative_prewarm_path(d, k)));
+                }
+            }
+        }
+        prices
+    }
+
+    #[test]
+    fn a_warm_model_prices_exactly_like_a_fresh_one() {
+        let prices = every_price();
+        // Each reference price comes from a model that has simulated nothing.
+        let fresh: Vec<Vec<CostBreakdown>> = LIGHTINGS
+            .iter()
+            .map(|&l| {
+                prices
+                    .iter()
+                    .map(|price| price(&SocModel::with_lighting(l)))
+                    .collect()
+            })
+            .collect();
+        let mut warm = soc();
+        let mut entries = Vec::new();
+        for _pass in 0..2 {
+            for (l, want) in LIGHTINGS.iter().zip(&fresh) {
+                warm.lighting = *l;
+                for (i, price) in prices.iter().enumerate() {
+                    assert_eq!(price(&warm), want[i], "{l:?}: price #{i}");
+                }
+            }
+            entries.push(warm.readouts.len());
+        }
+        // Per dataset and lighting: one preview, plus an SBS re-read per
+        // widened side (4) and distinct dead set ([], [1], [1, 3]). A key
+        // that missed on every call would keep growing on the second pass.
+        assert_eq!(entries, [4 * 3 * (1 + 4 * 3); 2]);
+    }
+
+    #[test]
+    fn a_panicking_fill_inserts_nothing() {
+        let m = soc();
+        let skip = m.skip_path(Dataset::Ade);
+        let before = m.readouts.len();
+        let all_dead = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.degraded_solo_path(Backbone::Hr, Dataset::Ade, 1.0, &[0, 1, 2, 3])
+        }));
+        assert!(all_dead.is_err(), "every sub-group dead must panic");
+        assert_eq!(m.readouts.len(), before);
+        assert_eq!(m.skip_path(Dataset::Ade), skip);
+    }
+
+    #[test]
+    fn the_memo_is_invisible_to_equality_and_debug() {
+        fn shareable<T: Send + Sync + Clone>() {}
+        shareable::<SocModel>();
+        let warm = soc();
+        warm.evaluate(Pipeline::Solo, Backbone::Hr, Dataset::Aria);
+        assert!(warm.readouts.len() > 0);
+        assert_eq!(warm, soc());
+        assert_eq!(format!("{warm:?}"), format!("{:?}", soc()));
+        assert_ne!(warm, SocModel::with_lighting(Lighting::Low));
+        assert_eq!(warm.clone().readouts.len(), warm.readouts.len());
     }
 
     #[test]

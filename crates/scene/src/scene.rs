@@ -30,12 +30,7 @@ pub struct SceneObject {
 impl SceneObject {
     /// Whether a world-space point is inside this object.
     pub fn contains(&self, wx: f32, wy: f32) -> bool {
-        let dx = wx - self.cx;
-        let dy = wy - self.cy;
-        let (s, c) = self.rotation.sin_cos();
-        let rx = (c * dx + s * dy) / self.size;
-        let ry = (-s * dx + c * dy) / self.size;
-        self.class.contains_unit(rx, ry)
+        Footprint::of(self).contains(wx, wy)
     }
 
     /// RGB color at a world point (stripe texture modulates the base color).
@@ -61,6 +56,44 @@ impl SceneObject {
             self.velocity.1 = -self.velocity.1;
             self.cy = self.cy.clamp(0.05, 0.95);
         }
+    }
+}
+
+/// An object's containment test with its per-object geometry taken once:
+/// the rotation's `(sin, cos)` and the reach of its silhouette. Calls that
+/// test many points build one per object and reuse it for every pixel.
+#[derive(Debug, Clone, Copy)]
+struct Footprint<'a> {
+    object: &'a SceneObject,
+    sin: f32,
+    cos: f32,
+    /// Every `contains_unit` silhouette lies in the de-rotated unit box,
+    /// so within `√2·size` of the centre: a point farther than `1.5·size`
+    /// along either world axis is outside whatever the rotation.
+    reach: f32,
+}
+
+impl<'a> Footprint<'a> {
+    fn of(object: &'a SceneObject) -> Self {
+        let (sin, cos) = object.rotation.sin_cos();
+        Self {
+            object,
+            sin,
+            cos,
+            reach: 1.5 * object.size.abs(),
+        }
+    }
+
+    fn contains(&self, wx: f32, wy: f32) -> bool {
+        let o = self.object;
+        let dx = wx - o.cx;
+        let dy = wy - o.cy;
+        if dx.abs() > self.reach || dy.abs() > self.reach {
+            return false;
+        }
+        let rx = (self.cos * dx + self.sin * dy) / o.size;
+        let ry = (-self.sin * dx + self.cos * dy) / o.size;
+        o.class.contains_unit(rx, ry)
     }
 }
 
@@ -225,18 +258,16 @@ impl Scene {
     /// Panics if `n == 0`.
     pub fn render(&self, view: &ViewWindow, n: usize) -> Tensor {
         assert!(n > 0, "render resolution must be nonzero");
+        let footprints = self.footprints();
         let mut data = vec![0.0f32; 3 * n * n];
         for row in 0..n {
             for col in 0..n {
                 let (wx, wy) = view.pixel_to_world(row, col, n);
-                let mut rgb = self.background.shade(wx, wy);
                 // Topmost (last) containing object wins.
-                for obj in self.objects.iter().rev() {
-                    if obj.contains(wx, wy) {
-                        rgb = obj.shade(wx, wy);
-                        break;
-                    }
-                }
+                let rgb = match footprints.iter().rev().find(|f| f.contains(wx, wy)) {
+                    Some(f) => f.object.shade(wx, wy),
+                    None => self.background.shade(wx, wy),
+                };
                 for ch in 0..3 {
                     data[(ch * n + row) * n + col] = rgb[ch];
                 }
@@ -255,13 +286,14 @@ impl Scene {
     pub fn instance_mask(&self, idx: usize, view: &ViewWindow, n: usize) -> Tensor {
         assert!(idx < self.objects.len(), "object index out of range");
         assert!(n > 0, "render resolution must be nonzero");
+        let footprints = self.footprints();
+        // Occluders are objects drawn after idx.
+        let (target, occluders) = (&footprints[idx], &footprints[idx + 1..]);
         let mut data = vec![0.0f32; n * n];
         for row in 0..n {
             for col in 0..n {
                 let (wx, wy) = view.pixel_to_world(row, col, n);
-                // Occluders are objects drawn after idx.
-                let occluded = self.objects[idx + 1..].iter().any(|o| o.contains(wx, wy));
-                if !occluded && self.objects[idx].contains(wx, wy) {
+                if target.contains(wx, wy) && !occluders.iter().any(|o| o.contains(wx, wy)) {
                     data[row * n + col] = 1.0;
                 }
             }
@@ -279,12 +311,13 @@ impl Scene {
     /// Panics if `n == 0`.
     pub fn semantic_map(&self, view: &ViewWindow, n: usize) -> Tensor {
         assert!(n > 0, "render resolution must be nonzero");
+        let footprints = self.footprints();
         let mut data = vec![crate::NUM_CLASSES as f32; n * n];
         for row in 0..n {
             for col in 0..n {
                 let (wx, wy) = view.pixel_to_world(row, col, n);
-                if let Some(idx) = self.objects.iter().rposition(|o| o.contains(wx, wy)) {
-                    data[row * n + col] = self.objects[idx].class.id() as f32;
+                if let Some(f) = footprints.iter().rev().find(|f| f.contains(wx, wy)) {
+                    data[row * n + col] = f.object.class.id() as f32;
                 }
             }
         }
@@ -317,6 +350,10 @@ impl Scene {
         self.objects.iter().rposition(|o| o.contains(wx, wy))
     }
 
+    fn footprints(&self) -> Vec<Footprint<'_>> {
+        self.objects.iter().map(Footprint::of).collect()
+    }
+
     /// Advances all object positions by `dt_s` seconds.
     pub fn advance(&mut self, dt_s: f32) {
         for o in &mut self.objects {
@@ -328,6 +365,7 @@ impl Scene {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use solo_tensor::seeded_rng;
 
     fn one_circle() -> Scene {
@@ -424,6 +462,119 @@ mod tests {
         for o in &scene.objects {
             assert!((0.0..=1.0).contains(&o.cx));
             assert!((0.0..=1.0).contains(&o.cy));
+        }
+    }
+
+    /// `SceneObject::contains` before its geometry was hoisted: the
+    /// rotation's sine and cosine at every point and no reject box.
+    fn contains_reference(o: &SceneObject, wx: f32, wy: f32) -> bool {
+        let dx = wx - o.cx;
+        let dy = wy - o.cy;
+        let (s, c) = o.rotation.sin_cos();
+        let rx = (c * dx + s * dy) / o.size;
+        let ry = (-s * dx + c * dy) / o.size;
+        o.class.contains_unit(rx, ry)
+    }
+
+    fn topmost_reference(scene: &Scene, wx: f32, wy: f32) -> Option<usize> {
+        scene
+            .objects
+            .iter()
+            .rposition(|o| contains_reference(o, wx, wy))
+    }
+
+    const PRESETS: [fn() -> crate::DatasetConfig; 6] = [
+        crate::DatasetConfig::lvis_like,
+        crate::DatasetConfig::ade_like,
+        crate::DatasetConfig::aria_like,
+        crate::DatasetConfig::davis_like,
+        crate::DatasetConfig::crowded_like,
+        crate::DatasetConfig::switching_like,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn rendering_matches_the_per_pixel_reference(
+            seed in any::<u64>(),
+            (vx, vy) in (0.0f32..1.0, 0.0f32..1.0),
+            n in 1usize..40,
+            spin in -3.2f32..3.2,
+            probes in collection::vec((0.0f32..1.0, 0.0f32..1.0), 16),
+        ) {
+            for preset in PRESETS {
+                let cfg = preset();
+                let mut rng = seeded_rng(seed);
+                let count = rng.gen_range(cfg.objects.0..=cfg.objects.1);
+                let mut scene = Scene::random(&mut rng, count, cfg.object_size, cfg.moving);
+                // Preset scenes stay within ±20°; the reject box must hold
+                // at any rotation.
+                if seed % 2 == 1 {
+                    for o in &mut scene.objects {
+                        o.rotation += spin;
+                    }
+                }
+                let half = cfg.view_span / 2.0;
+                let view = ViewWindow::new(
+                    half + vx * (1.0 - cfg.view_span),
+                    half + vy * (1.0 - cfg.view_span),
+                    cfg.view_span,
+                );
+
+                let image = scene.render(&view, n);
+                let semantic = scene.semantic_map(&view, n);
+                let masks: Vec<Tensor> = (0..scene.objects.len())
+                    .map(|idx| scene.instance_mask(idx, &view, n))
+                    .collect();
+                for row in 0..n {
+                    for col in 0..n {
+                        let (wx, wy) = view.pixel_to_world(row, col, n);
+                        let top = topmost_reference(&scene, wx, wy);
+                        let rgb = match top {
+                            Some(i) => scene.objects[i].shade(wx, wy),
+                            None => scene.background.shade(wx, wy),
+                        };
+                        for (ch, want) in rgb.iter().enumerate() {
+                            prop_assert_eq!(image.at(&[ch, row, col]).to_bits(), want.to_bits());
+                        }
+                        let class = top.map_or(crate::NUM_CLASSES, |i| scene.objects[i].class.id());
+                        prop_assert_eq!(semantic.at(&[row, col]), class as f32);
+                        for (idx, mask) in masks.iter().enumerate() {
+                            let visible = top == Some(idx);
+                            prop_assert_eq!(mask.at(&[row, col]), if visible { 1.0 } else { 0.0 });
+                        }
+                    }
+                }
+
+                for &(px, py) in &probes {
+                    let (wx, wy) = (
+                        view.cx - half + px * view.span,
+                        view.cy - half + py * view.span,
+                    );
+                    prop_assert_eq!(scene.object_at(&view, px, py), topmost_reference(&scene, wx, wy));
+                }
+                // Points straddling each object's 1.5·size reject edge, on
+                // both world axes and the diagonals.
+                for o in &scene.objects {
+                    let reach = 1.5 * o.size;
+                    for eps in [-1e-3f32, -1e-6, 0.0, 1e-6, 1e-3] {
+                        let r = reach * (1.0 + eps);
+                        for (sx, sy) in [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (1.0, 0.5), (-0.5, 1.0)] {
+                            let (wx, wy) = (o.cx + sx * r, o.cy + sy * r);
+                            for other in &scene.objects {
+                                prop_assert_eq!(other.contains(wx, wy), contains_reference(other, wx, wy));
+                            }
+                            let (px, py) = view.world_to_view(wx, wy);
+                            let (qx, qy) = (
+                                view.cx - half + px * view.span,
+                                view.cy - half + py * view.span,
+                            );
+                            prop_assert_eq!(scene.object_at(&view, px, py), topmost_reference(&scene, qx, qy));
+                        }
+                    }
+                }
+            }
         }
     }
 
