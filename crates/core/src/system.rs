@@ -4,16 +4,14 @@
 
 use solo_gaze::{EyePhase, GazePoint, GazePredictor, GazeSample};
 use solo_hw::calib::sensor::ADC_GROUPS_PER_COL;
-use solo_hw::soc::{
-    Backbone as HwBackbone, CostBreakdown, Dataset as HwDataset, Pipeline, SocModel,
-};
+use solo_hw::soc::{Backbone as HwBackbone, Dataset as HwDataset, Pipeline, SocModel};
 use solo_hw::timing::FrameBudget;
 use solo_hw::Latency;
 use solo_sampler::{gaze_saliency, uniform_subsample, IndexMap, SamplerSpec};
 use solo_scene::{Frame, VideoSequence};
 use solo_tensor::Tensor;
 
-use crate::metrics::{binary_iou, classified_iou};
+use crate::metrics::{binary_iou, classified_iou, IouAccumulator};
 use crate::resilience::{
     DegradeAction, FaultInjector, FaultPlan, FrameOutcome, ResilienceConfig, ResilientReport,
     RobustnessReport, RungScore, SoloError,
@@ -42,6 +40,18 @@ pub struct StreamingReport {
 }
 
 impl StreamingReport {
+    /// Closes one clip's bookkeeping; `latency_ms` sums the per-frame
+    /// latencies.
+    fn from_tally(frames: usize, skipped: usize, latency_ms: f64, scores: &IouAccumulator) -> Self {
+        Self {
+            frames,
+            skipped,
+            b_iou: scores.b_iou(),
+            c_iou: scores.c_iou(),
+            mean_latency_ms: latency_ms / frames.max(1) as f64,
+        }
+    }
+
     /// Fraction of frames skipped.
     pub fn skip_fraction(&self) -> f32 {
         if self.frames == 0 {
@@ -232,9 +242,7 @@ impl StreamingEvaluator {
         let skip_cost = self.soc.skip_path(self.hw_dataset).latency().ms();
         let mut skipped = 0usize;
         let mut latency_total = 0.0f64;
-        let mut b_sum = 0.0f64;
-        let mut c_sum = 0.0f64;
-        let mut scored = 0usize;
+        let mut scores = IouAccumulator::new();
         let mut held: Option<(Tensor, usize)> = None; // (full-res mask, class)
         for i in 0..video.len() {
             let frame = video.frame(i);
@@ -254,27 +262,11 @@ impl StreamingEvaluator {
                 latency_total += skip_cost;
             }
             // Score the currently-displayed mask against this frame's GT.
-            if let (Some((mask, class)), Some(gt_class)) = (&held, frame.ioi_class) {
-                b_sum += binary_iou(mask, &frame.ioi_mask) as f64;
-                c_sum += classified_iou(mask, *class, &frame.ioi_mask, gt_class.id()) as f64;
-                scored += 1;
+            if let Some((b, c)) = score_held(&held, &frame) {
+                scores.push(b, c);
             }
         }
-        StreamingReport {
-            frames: video.len(),
-            skipped,
-            b_iou: if scored == 0 {
-                0.0
-            } else {
-                (b_sum / scored as f64) as f32
-            },
-            c_iou: if scored == 0 {
-                0.0
-            } else {
-                (c_sum / scored as f64) as f32
-            },
-            mean_latency_ms: latency_total / video.len().max(1) as f64,
-        }
+        StreamingReport::from_tally(video.len(), skipped, latency_total, &scores)
     }
 
     /// Streams the whole video under the speculate→commit frame protocol.
@@ -335,9 +327,7 @@ impl StreamingEvaluator {
         let mut skipped = 0usize;
         let mut latency_total = 0.0f64;
         let mut reactive_total = 0.0f64;
-        let mut b_sum = 0.0f64;
-        let mut c_sum = 0.0f64;
-        let mut scored = 0usize;
+        let mut scores = IouAccumulator::new();
         let mut held: Option<(Tensor, usize)> = None;
         let mut history: Vec<GazeSample> = Vec::new();
         let mut prev_phase: Option<EyePhase> = None;
@@ -440,10 +430,8 @@ impl StreamingEvaluator {
                 stats.budget_overruns += 1;
             }
 
-            if let (Some((mask, class)), Some(gt_class)) = (&held, frame.ioi_class) {
-                b_sum += binary_iou(mask, &frame.ioi_mask) as f64;
-                c_sum += classified_iou(mask, *class, &frame.ioi_mask, gt_class.id()) as f64;
-                scored += 1;
+            if let Some((b, c)) = score_held(&held, &frame) {
+                scores.push(b, c);
             }
 
             history.push(frame.gaze);
@@ -459,13 +447,7 @@ impl StreamingEvaluator {
             hit_ms / stats.committed as f64
         };
         Ok(SpeculativeReport {
-            base: StreamingReport {
-                frames: video.len(),
-                skipped,
-                b_iou: mean(b_sum, scored),
-                c_iou: mean(c_sum, scored),
-                mean_latency_ms: latency_total / video.len().max(1) as f64,
-            },
+            base: StreamingReport::from_tally(video.len(), skipped, latency_total, &scores),
             reactive_latency_ms: reactive_total / video.len().max(1) as f64,
             spec: stats,
         })
@@ -515,30 +497,7 @@ impl StreamingEvaluator {
         let down = n / 4;
         let widen = config.widen_factor;
         let oracle_sigma = PipelineConfig::for_dataset(&video.config().dataset, n, down).sigma;
-        // Pre-priced cost breakdowns per rung; SBS-running rungs also get a
-        // per-dead-group variant (a dead sub-group skips its readout rows).
-        let run_bd = self
-            .soc
-            .evaluate(Pipeline::Solo, self.hw_backbone, self.hw_dataset);
-        let skip_bd = self.soc.skip_path(self.hw_dataset);
-        let uniform_bd = self
-            .soc
-            .uniform_fallback_path(self.hw_backbone, self.hw_dataset);
-        let widen_bd =
-            self.soc
-                .degraded_solo_path(self.hw_backbone, self.hw_dataset, widen as f64, &[]);
-        let run_dead: Vec<CostBreakdown> = (0..ADC_GROUPS_PER_COL)
-            .map(|g| {
-                self.soc
-                    .degraded_solo_path(self.hw_backbone, self.hw_dataset, 1.0, &[g])
-            })
-            .collect();
-        let widen_dead: Vec<CostBreakdown> = (0..ADC_GROUPS_PER_COL)
-            .map(|g| {
-                self.soc
-                    .degraded_solo_path(self.hw_backbone, self.hw_dataset, widen as f64, &[g])
-            })
-            .collect();
+        let (bb, ds) = (self.hw_backbone, self.hw_dataset);
 
         let mut injector = FaultInjector::new(*plan);
         let mut ladder = crate::resilience::DegradeLadder::new();
@@ -548,18 +507,14 @@ impl StreamingEvaluator {
         let mut actions = Vec::with_capacity(video.len());
         let mut skipped = 0usize;
         let mut latency_total = 0.0f64;
-        let mut b_sum = 0.0f64;
-        let mut c_sum = 0.0f64;
-        let mut scored = 0usize;
+        let mut scores = IouAccumulator::new();
         let mut injected = 0usize;
         let mut degraded = 0usize;
         let mut overruns = 0usize;
         let mut episode = 0usize;
         let mut recoveries = 0usize;
         let mut recovery_total = 0usize;
-        let mut rung_b = [0.0f64; DegradeAction::RUNGS];
-        let mut rung_c = [0.0f64; DegradeAction::RUNGS];
-        let mut rung_scored = [0usize; DegradeAction::RUNGS];
+        let mut rung_scores = [IouAccumulator::new(); DegradeAction::RUNGS];
         let mut rung_frames = [0usize; DegradeAction::RUNGS];
         let mut history: Vec<GazeSample> = Vec::new();
 
@@ -624,17 +579,24 @@ impl StreamingEvaluator {
                 };
 
             // Charge the frame against the deadline, escalating to cheaper
-            // rungs while the prospective total would overrun.
+            // rungs while the prospective total would overrun. Each rung is
+            // priced where it is charged (a memo lookup); a dead sub-group
+            // skips its readout rows on the SBS-running rungs.
             let spike = faults.latency_spike.unwrap_or(1.0);
+            let dead = faults.dead_group.map(|g| g % ADC_GROUPS_PER_COL);
             let mut frame_overrun = false;
             let total = loop {
-                let bd = match (&work, faults.dead_group) {
-                    (Work::Skip, _) => &skip_bd,
-                    (Work::Run(RunKind::Uniform), _) => &uniform_bd,
-                    (Work::Run(RunKind::Widened(_)), Some(g)) => &widen_dead[g % widen_dead.len()],
-                    (Work::Run(RunKind::Widened(_)), None) => &widen_bd,
-                    (Work::Run(RunKind::Focused(_)), Some(g)) => &run_dead[g % run_dead.len()],
-                    (Work::Run(RunKind::Focused(_)), None) => &run_bd,
+                let bd = match &work {
+                    Work::Skip => self.soc.skip_path(ds),
+                    Work::Run(RunKind::Uniform) => self.soc.uniform_fallback_path(bb, ds),
+                    Work::Run(RunKind::Widened(_)) => {
+                        self.soc
+                            .degraded_solo_path(bb, ds, widen as f64, dead.as_slice())
+                    }
+                    Work::Run(RunKind::Focused(_)) if dead.is_some() => {
+                        self.soc.degraded_solo_path(bb, ds, 1.0, dead.as_slice())
+                    }
+                    Work::Run(RunKind::Focused(_)) => self.soc.evaluate(Pipeline::Solo, bb, ds),
                 };
                 // The spike hits the segmentation stage only; the addition
                 // is exact for spike == 1, keeping fault-free runs
@@ -702,16 +664,9 @@ impl StreamingEvaluator {
             }
 
             // Score the currently-displayed mask, overall and per rung.
-            if let (Some((mask, class)), Some(gt_class)) = (&held, frame.ioi_class) {
-                let b = binary_iou(mask, &frame.ioi_mask) as f64;
-                let c = classified_iou(mask, *class, &frame.ioi_mask, gt_class.id()) as f64;
-                b_sum += b;
-                c_sum += c;
-                scored += 1;
-                let r = action.rung();
-                rung_b[r] += b;
-                rung_c[r] += c;
-                rung_scored[r] += 1;
+            if let Some((b, c)) = score_held(&held, &frame) {
+                scores.push(b, c);
+                rung_scores[action.rung()].push(b, c);
             }
             rung_frames[action.rung()] += 1;
             if action.is_degraded() {
@@ -725,22 +680,13 @@ impl StreamingEvaluator {
             actions.push(action);
         }
 
-        let mut by_rung = [RungScore::default(); DegradeAction::RUNGS];
-        for r in 0..DegradeAction::RUNGS {
-            by_rung[r] = RungScore {
-                frames: rung_frames[r],
-                b_iou: mean(rung_b[r], rung_scored[r]),
-                c_iou: mean(rung_c[r], rung_scored[r]),
-            };
-        }
+        let by_rung = std::array::from_fn(|r| RungScore {
+            frames: rung_frames[r],
+            b_iou: rung_scores[r].b_iou(),
+            c_iou: rung_scores[r].c_iou(),
+        });
         Ok(ResilientReport {
-            base: StreamingReport {
-                frames: video.len(),
-                skipped,
-                b_iou: mean(b_sum, scored),
-                c_iou: mean(c_sum, scored),
-                mean_latency_ms: latency_total / video.len().max(1) as f64,
-            },
+            base: StreamingReport::from_tally(video.len(), skipped, latency_total, &scores),
             robustness: RobustnessReport {
                 injected_frames: injected,
                 degraded_frames: degraded,
@@ -772,6 +718,16 @@ enum RunKind {
     Widened(GazePoint),
     /// Uniform index map, no gaze prior.
     Uniform,
+}
+
+/// The displayed mask's `(b-IoU, c-IoU)` against `frame`'s ground truth,
+/// when a mask is held and the frame has an IOI.
+fn score_held(held: &Option<(Tensor, usize)>, frame: &Frame) -> Option<(f32, f32)> {
+    let ((mask, class), gt_class) = (held.as_ref()?, frame.ioi_class?);
+    Some((
+        binary_iou(mask, &frame.ioi_mask),
+        classified_iou(mask, *class, &frame.ioi_mask, gt_class.id()),
+    ))
 }
 
 fn mean(sum: f64, count: usize) -> f32 {

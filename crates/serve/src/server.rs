@@ -8,12 +8,22 @@
 //! [`FrameBudget`], and finally segments every running session's warped
 //! crop through **one** cross-session batched inference pass.
 //!
+//! [`Server::tick`] and [`Server::tick_supervised`] run that sequence
+//! through one private body. Supervision selects exactly three things:
+//! whether each gaze is filtered through the session's fault injector,
+//! whether a run is gated against the shared in-order budget or against
+//! the session's own slice of the envelope, and the end-of-tick pass that
+//! sets new quarantines. Everything else exists once, so a slot a
+//! supervised tick quarantined keeps serving its stub, and runs its due
+//! probes, on plain ticks too: the two ticks interleave freely.
+//!
 //! Two invariants the tests pin:
 //!
 //! * **Batch size never changes outputs.** `cfg.batch` only chunks the
 //!   fused GEMM dispatches, which are bit-identical to per-session calls
-//!   by construction; all *modeled pricing* is keyed to the live session
-//!   count, never to `cfg.batch`.
+//!   by construction; all *modeled pricing* is keyed to the session count
+//!   (the total slot count on a tick, the live count at admission), never
+//!   to `cfg.batch`.
 //! * **Degradation is per-session.** Under overload, each session walks
 //!   its own [`DegradeLadder`] — sessions early in the tick order keep
 //!   running while later ones degrade, and a session's ladder resets as
@@ -27,7 +37,8 @@
 //! [`Supervisor`] scores per-session health, and chronically unhealthy
 //! sessions quarantine into a held-state stub (freeing envelope budget
 //! for the queue) until an exponential-backoff probe re-admits them from
-//! a [`SessionCheckpoint`]. Three more invariants the chaos tests pin:
+//! a [`SessionCheckpoint`]. Plain ticks honour those quarantines but never
+//! set one. Three more invariants the chaos tests pin:
 //!
 //! * **Fault isolation.** A session's faults are drawn from its own
 //!   injector and its tick is gated against its own slice of the
@@ -48,8 +59,10 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use solo_core::metrics::{binary_iou, IouAccumulator};
-use solo_core::resilience::{DegradeAction, FrameOutcome, ResilienceConfig, SoloError};
-use solo_gaze::GazePoint;
+use solo_core::resilience::{
+    DegradeAction, FrameFaults, FrameOutcome, ResilienceConfig, SoloError,
+};
+use solo_gaze::{GazeObservation, GazePoint};
 use solo_hw::soc::{Backbone, CostBreakdown, SocModel};
 use solo_hw::timing::FrameBudget;
 use solo_hw::Latency;
@@ -88,8 +101,8 @@ pub struct ServerConfig {
     pub frames_per_video: usize,
     /// Ladder thresholds driving per-session overload degradation.
     pub resilience: ResilienceConfig,
-    /// Supervision thresholds (quarantine + probe backoff) for
-    /// [`Server::tick_supervised`].
+    /// Supervision thresholds: [`Server::tick_supervised`] quarantines by
+    /// them, and both ticks probe on their backoff.
     pub supervisor: SupervisorConfig,
     /// Cost-model backbone sessions are priced as.
     pub backbone: Backbone,
@@ -159,7 +172,7 @@ pub enum AdmitOutcome {
 /// What one tick did, session counts first.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TickReport {
-    /// Live sessions this tick.
+    /// Sessions served this tick, quarantined slots included.
     pub sessions: usize,
     /// Sessions whose crop was segmented this tick.
     pub ran: usize,
@@ -207,6 +220,43 @@ enum Work {
     Reuse,
 }
 
+impl Work {
+    /// The retry a ladder rung asks for at `gaze`: widen re-runs a widened
+    /// crop, uniform the gaze-free fallback; every other rung presents the
+    /// held mask.
+    fn for_rung(action: DegradeAction, gaze: GazePoint) -> Self {
+        match action {
+            DegradeAction::WidenCrop { factor } => Work::Run {
+                gaze,
+                widen: factor,
+            },
+            DegradeAction::UniformFallback => Work::RunUniform,
+            _ => Work::Reuse,
+        }
+    }
+}
+
+/// The shared-compute part of a priced frame: ESNet plus segmentation.
+fn shared(bd: CostBreakdown) -> Latency {
+    bd.esnet.0 + bd.segmentation.0
+}
+
+/// The index map warping `ses`'s frame onto a `crop²` grid around `gaze`:
+/// the gaze saliency prior, with the sampler σ widened by `√widen` — the
+/// crop of every gaze-steered run and probe.
+fn gaze_map(ses: &Session, crop: usize, gaze: GazePoint, widen: f32) -> IndexMap {
+    let sal = gaze_saliency(
+        crop,
+        crop,
+        (gaze.x, gaze.y),
+        SALIENCY_SIGMA_FRAC,
+        SALIENCY_FLOOR,
+    );
+    let map = IndexMap::from_saliency(&ses.sampler_spec(crop, widen), &sal);
+    sal.recycle();
+    map
+}
+
 /// The multi-session server (see the module docs).
 pub struct Server {
     model: Arc<ServeModel>,
@@ -220,8 +270,8 @@ pub struct Server {
     frames_served: usize,
     frames_ran: usize,
     rejects: usize,
-    /// Oracle round-trip b-IoU per ladder rung, accumulated by supervised
-    /// ticks when `cfg.resilience.score_round_trip` is set.
+    /// Oracle round-trip b-IoU per ladder rung, accumulated by every tick
+    /// when `cfg.resilience.score_round_trip` is set.
     rung_scores: [IouAccumulator; DegradeAction::RUNGS],
 }
 
@@ -296,7 +346,7 @@ impl Server {
         &self.supervisor
     }
 
-    /// Per-rung oracle round-trip scores from supervised ticks:
+    /// Per-rung oracle round-trip scores of served runs:
     /// `(frames scored, mean b-IoU)` per ladder rung, nominal first.
     /// Empty unless `cfg.resilience.score_round_trip` is set.
     pub fn rung_scores(&self) -> [(usize, f32); DegradeAction::RUNGS] {
@@ -308,39 +358,25 @@ impl Server {
     /// per-run cost the tick budget charges. Batching amortizes the
     /// accelerator dispatch across sessions, so this falls as `s` grows.
     ///
-    /// Priced worst-case across the live presets (the costliest dataset
-    /// among the sessions), so admission never under-prices a mixed fleet.
-    fn shared_cost_per_run(&self, s: usize, extra: Option<&SessionSpec>) -> Latency {
+    /// Priced worst-case across `fleet` (the costliest dataset among its
+    /// presets), so admission never under-prices a mixed fleet.
+    fn shared_cost_per_run<'a>(
+        &self,
+        s: usize,
+        fleet: impl Iterator<Item = &'a SessionSpec>,
+    ) -> Latency {
         let mut worst = Latency::ZERO;
-        for ds in self
-            .sessions
-            .iter()
-            .map(|ses| ses.spec().scene)
-            .chain(extra.map(|e| e.scene))
-        {
-            let bd = self
-                .soc
-                .batched_solo_path(self.cfg.backbone, ds.hw_dataset(), s.max(1));
-            let run = bd.esnet.0 + bd.segmentation.0;
+        for spec in fleet {
+            let run = shared(self.soc.batched_solo_path(
+                self.cfg.backbone,
+                spec.scene.hw_dataset(),
+                s.max(1),
+            ));
             if run > worst {
                 worst = run;
             }
         }
         worst
-    }
-
-    /// Shared cost of a reuse tick for one session: ESNet still runs (the
-    /// SSA needs gaze + preview every frame), segmentation does not.
-    fn shared_cost_skip(&self, spec: &SessionSpec) -> Latency {
-        self.soc.skip_path(spec.scene.hw_dataset()).esnet.0
-    }
-
-    /// Shared cost of a uniform-fallback run for one session.
-    fn shared_cost_uniform(&self, spec: &SessionSpec) -> Latency {
-        let bd: CostBreakdown = self
-            .soc
-            .uniform_fallback_path(self.cfg.backbone, spec.scene.hw_dataset());
-        bd.esnet.0 + bd.segmentation.0
     }
 
     /// Whether a fleet of `live` non-quarantined sessions (optionally
@@ -350,27 +386,16 @@ impl Server {
     /// Quarantined sessions are excluded on both axes — their stub serves
     /// zero shared compute, so quarantine frees envelope for the queue.
     fn fits(&self, live: usize, extra: Option<&SessionSpec>) -> bool {
-        if live == 0 {
-            return true;
-        }
-        let mut worst = Latency::ZERO;
-        for ds in self
+        let fleet = self
             .sessions
             .iter()
             .enumerate()
             .filter(|(i, _)| !self.supervisor.is_quarantined(*i))
-            .map(|(_, ses)| ses.spec().scene)
-            .chain(extra.map(|e| e.scene))
-        {
-            let bd = self
-                .soc
-                .batched_solo_path(self.cfg.backbone, ds.hw_dataset(), live.max(1));
-            let run = bd.esnet.0 + bd.segmentation.0;
-            if run > worst {
-                worst = run;
-            }
-        }
-        worst.ms() * live as f64 <= self.cfg.deadline.ms() * self.cfg.admission_fill
+            .map(|(_, ses)| ses.spec())
+            .chain(extra);
+        live == 0
+            || self.shared_cost_per_run(live, fleet).ms() * live as f64
+                <= self.cfg.deadline.ms() * self.cfg.admission_fill
     }
 
     /// Live (non-quarantined) session count.
@@ -430,215 +455,32 @@ impl Server {
         promoted
     }
 
-    /// Serves one frame tick to every live session (see the module docs
-    /// for the phase order). Sessions' fault plans are ignored — this is
-    /// the unsupervised fast path; see [`Self::tick_supervised`].
+    /// Serves one frame tick (see the module docs for the phase order).
+    /// Sessions' fault plans are ignored and every run is gated against
+    /// what is left of the shared, in-order [`FrameBudget`]. A slot that a
+    /// supervised tick quarantined keeps serving its stub and running its
+    /// due probes, but a plain tick sets no new quarantine. See
+    /// [`Self::tick_supervised`].
     pub fn tick(&mut self) -> TickReport {
-        let mut report = TickReport {
-            promoted: self.promote(),
-            ..TickReport::default()
-        };
-        let s = self.sessions.len();
-        report.sessions = s;
-        self.ticks += 1;
-        if s == 0 {
-            return report;
-        }
-        let crop = self.model.config().crop_side;
-
-        // Phase 1: advance every session one frame.
-        let frames: Vec<_> = self.sessions.iter_mut().map(Session::next_frame).collect();
-
-        // Phase 2: one batched predictor step across the session dimension.
-        // Input is each session's last *measured* gaze; the output forecast
-        // substitutes for the live sample while its phase is suppressed.
-        let mut gaze_rows = Vec::with_capacity(s * 2);
-        let mut hidden_rows = Vec::with_capacity(s * self.model.config().predictor_hidden);
-        for ses in &self.sessions {
-            let g = ses.last_gaze();
-            gaze_rows.extend_from_slice(&[g.x, g.y]);
-            hidden_rows.extend_from_slice(ses.hidden().as_slice());
-        }
-        let gazes = Tensor::from_vec(gaze_rows, &[s, 2]);
-        let hidden = Tensor::from_vec(hidden_rows, &[s, self.model.config().predictor_hidden]);
-        let (next_hidden, deltas) = self.model.predict_batch(&gazes, &hidden);
-        let dh = self.model.config().predictor_hidden;
-        for (i, ses) in self.sessions.iter_mut().enumerate() {
-            ses.set_hidden(Tensor::from_vec(
-                next_hidden.as_slice()[i * dh..(i + 1) * dh].to_vec(),
-                &[dh],
-            ));
-        }
-
-        // Phase 3: per-session SSA decision, then budget-gated degradation
-        // in session order. All pricing is keyed to the live session count
-        // `s` — never to `cfg.batch`. Costs are priced up front so the
-        // per-session loop holds only the session borrow.
-        let run_cost = self.shared_cost_per_run(s, None);
-        let skip_costs: Vec<Latency> = self
-            .sessions
-            .iter()
-            .map(|ses| self.shared_cost_skip(ses.spec()))
-            .collect();
-        let uniform_costs: Vec<Latency> = self
-            .sessions
-            .iter()
-            .map(|ses| self.shared_cost_uniform(ses.spec()))
-            .collect();
-        let widen_costs: Vec<Latency> = self
-            .sessions
-            .iter()
-            .map(|ses| {
-                let bd = self.soc.degraded_solo_path(
-                    self.cfg.backbone,
-                    ses.spec().scene.hw_dataset(),
-                    f64::from(self.cfg.resilience.widen_factor),
-                    &[],
-                );
-                bd.esnet.0 + bd.segmentation.0
-            })
-            .collect();
-        let mut budget = FrameBudget::new(self.cfg.deadline);
-        budget.start_frame();
-        let mut work = Vec::with_capacity(s);
-        for (i, frame) in frames.iter().enumerate() {
-            let ses = &mut self.sessions[i];
-            let suppressed = frame.gaze.phase.is_suppressed();
-            let gaze = if suppressed {
-                // Saccadic suppression: steer the crop by the forecast
-                // landing point instead of the mid-flight sample.
-                let d = &deltas.as_slice()[i * 2..(i + 1) * 2];
-                let g = ses.last_gaze();
-                GazePoint::new(g.x + d[0], g.y + d[1])
-            } else {
-                ses.set_last_gaze(frame.gaze.point);
-                frame.gaze.point
-            };
-            let preview = uniform_subsample(&frame.image, crop, crop);
-            let wants_run = ses.ssa_mut().step(&preview, gaze, suppressed).must_run()
-                || ses.last_mask().is_none();
-            preview.recycle();
-
-            let (action, w) = if !wants_run {
-                ses.ladder_mut().reset();
-                (DegradeAction::Nominal, Work::Reuse)
-            } else if !budget.would_overrun(run_cost) {
-                ses.ladder_mut().reset();
-                (DegradeAction::Nominal, Work::Run { gaze, widen: 1.0 })
-            } else {
-                // Overload: this session walks its ladder. Hold presents
-                // the last mask; widen retries a degraded (widened) run;
-                // uniform retries the gaze-free fallback; reuse is the
-                // floor. A rung whose retry still overruns falls through
-                // to mask reuse for this tick.
-                let action = ses.ladder_mut().decide(&self.cfg.resilience);
-                let w = match action {
-                    DegradeAction::WidenCrop { factor } => {
-                        if !budget.would_overrun(widen_costs[i]) {
-                            Work::Run {
-                                gaze,
-                                widen: factor,
-                            }
-                        } else {
-                            Work::Reuse
-                        }
-                    }
-                    DegradeAction::UniformFallback => {
-                        if !budget.would_overrun(uniform_costs[i]) {
-                            Work::RunUniform
-                        } else {
-                            Work::Reuse
-                        }
-                    }
-                    _ => Work::Reuse,
-                };
-                (action, w)
-            };
-
-            let charge = match &w {
-                Work::Run { widen, .. } if *widen > 1.0 => widen_costs[i],
-                Work::Run { .. } => run_cost,
-                Work::RunUniform => uniform_costs[i],
-                Work::Reuse => skip_costs[i],
-            };
-            if !budget.charge(charge) {
-                report.overrun = true;
-            }
-
-            let st = ses.stats_mut();
-            st.frames += 1;
-            st.rung_frames[action.rung()] += 1;
-            report.rung_sessions[action.rung()] += 1;
-            if action.is_degraded() {
-                st.degraded += 1;
-                report.degraded += 1;
-            }
-            work.push(w);
-        }
-        report.spent_ms = budget.spent().ms();
-        if report.overrun {
-            self.overruns += 1;
-        }
-
-        // Phase 4: build every running session's warped crop, then segment
-        // them all through the batched head in `cfg.batch`-sized chunks.
-        let mut run_idx = Vec::new();
-        let mut crops = Vec::new();
-        for (i, w) in work.iter().enumerate() {
-            let ses = &self.sessions[i];
-            let map = match w {
-                Work::Run { gaze, widen } => {
-                    let sal = gaze_saliency(
-                        crop,
-                        crop,
-                        (gaze.x, gaze.y),
-                        SALIENCY_SIGMA_FRAC,
-                        SALIENCY_FLOOR,
-                    );
-                    let map = IndexMap::from_saliency(&ses.sampler_spec(crop, *widen), &sal);
-                    sal.recycle();
-                    map
-                }
-                Work::RunUniform => IndexMap::uniform(&ses.sampler_spec(crop, 1.0)),
-                Work::Reuse => continue,
-            };
-            crops.push(map.sample_bilinear(&frames[i].image));
-            run_idx.push(i);
-        }
-        for chunk_start in (0..crops.len()).step_by(self.cfg.batch) {
-            let chunk_end = (chunk_start + self.cfg.batch).min(crops.len());
-            let masks = self
-                .model
-                .infer_batch(&crops[chunk_start..chunk_end], self.cfg.precision);
-            for (off, mask) in masks.into_iter().enumerate() {
-                self.sessions[run_idx[chunk_start + off]].set_last_mask(mask);
-            }
-        }
-        for c in crops {
-            c.recycle();
-        }
-        report.ran = run_idx.len();
-        report.reused = s - run_idx.len();
-        self.frames_served += s;
-        self.frames_ran += report.ran;
-        for (i, ses) in self.sessions.iter_mut().enumerate() {
-            let st = ses.stats_mut();
-            if run_idx.contains(&i) {
-                st.runs += 1;
-            } else {
-                st.reuses += 1;
-            }
-        }
-        report
+        self.serve_tick(false).base
     }
 
-    /// Serves one supervised frame tick (see the module docs): fault
-    /// injection per session, per-slice budget gating, health scoring,
-    /// quarantine and re-admission probes. With every session's plan
-    /// disabled this is bit-identical to [`Self::tick`] whenever the
-    /// fleet fits the admission envelope. Do not interleave with
-    /// [`Self::tick`] on a server that has quarantined sessions.
+    /// Serves one supervised frame tick (see the module docs): the same
+    /// tick as [`Self::tick`], with each gaze filtered through the
+    /// session's fault injector, each run gated against the session's own
+    /// slice of the envelope, and an end-of-tick supervision pass that
+    /// scores health and quarantines. With every session's plan disabled
+    /// this is bit-identical to [`Self::tick`] whenever the fleet fits the
+    /// admission envelope.
     pub fn tick_supervised(&mut self) -> SupervisedTickReport {
+        self.serve_tick(true)
+    }
+
+    /// The one tick body behind [`Self::tick`] and
+    /// [`Self::tick_supervised`]. `supervised` selects exactly three
+    /// things: fault observation, the gate (shared budget or per-slot
+    /// slice) and the closing supervision pass.
+    fn serve_tick(&mut self, supervised: bool) -> SupervisedTickReport {
         let mut rep = SupervisedTickReport {
             base: TickReport {
                 promoted: self.promote(),
@@ -698,189 +540,161 @@ impl Server {
         }
         let l = live.len();
         self.frames_served += total;
-        if l == 0 {
-            rep.base.spent_ms = budget.spent().ms();
-            if rep.base.overrun {
-                self.overruns += 1;
-            }
-            self.frames_ran += rep.base.ran;
-            return rep;
-        }
 
-        // Phase 1: advance live sessions one frame, filtering each gaze
-        // through the session's own seeded injector. The injector is
-        // strictly session-local — a disabled plan draws no entropy.
-        let mut frames = Vec::with_capacity(l);
-        let mut obses = Vec::with_capacity(l);
-        let mut faultses = Vec::with_capacity(l);
+        // Phase 1: advance live sessions one frame. A supervised tick
+        // filters each gaze through the session's own seeded injector
+        // (strictly session-local — a disabled plan draws no entropy); a
+        // plain tick observes the true gaze.
+        let mut observed = Vec::with_capacity(l);
         for &i in &live {
             let ses = &mut self.sessions[i];
             let frame = ses.next_frame();
-            let (obs, faults) = ses.injector_mut().observe(&frame.gaze);
+            let (obs, faults) = if supervised {
+                ses.injector_mut().observe(&frame.gaze)
+            } else {
+                (GazeObservation::valid(frame.gaze), FrameFaults::nominal())
+            };
             if faults.any() {
                 rep.injected += 1;
             }
-            frames.push(frame);
-            obses.push(obs);
-            faultses.push(faults);
+            observed.push((frame, obs, faults));
         }
 
         // Phase 2: one batched predictor step across the live sessions.
+        // Input is each session's last *measured* gaze; the output forecast
+        // substitutes for the live sample while its phase is suppressed or
+        // the tracker is dark.
         let dh = self.model.config().predictor_hidden;
-        let mut gaze_rows = Vec::with_capacity(l * 2);
-        let mut hidden_rows = Vec::with_capacity(l * dh);
-        for &i in &live {
-            let g = self.sessions[i].last_gaze();
-            gaze_rows.extend_from_slice(&[g.x, g.y]);
-            hidden_rows.extend_from_slice(self.sessions[i].hidden().as_slice());
-        }
-        let gazes = Tensor::from_vec(gaze_rows, &[l, 2]);
-        let hidden = Tensor::from_vec(hidden_rows, &[l, dh]);
-        let (next_hidden, deltas) = self.model.predict_batch(&gazes, &hidden);
-        for (p, &i) in live.iter().enumerate() {
-            self.sessions[i].set_hidden(Tensor::from_vec(
-                next_hidden.as_slice()[p * dh..(p + 1) * dh].to_vec(),
-                &[dh],
-            ));
+        let mut deltas = Vec::new();
+        if l > 0 {
+            let mut gaze_rows = Vec::with_capacity(l * 2);
+            let mut hidden_rows = Vec::with_capacity(l * dh);
+            for &i in &live {
+                let g = self.sessions[i].last_gaze();
+                gaze_rows.extend_from_slice(&[g.x, g.y]);
+                hidden_rows.extend_from_slice(self.sessions[i].hidden().as_slice());
+            }
+            let gazes = Tensor::from_vec(gaze_rows, &[l, 2]);
+            let hidden = Tensor::from_vec(hidden_rows, &[l, dh]);
+            let (next_hidden, d) = self.model.predict_batch(&gazes, &hidden);
+            for (p, &i) in live.iter().enumerate() {
+                self.sessions[i].set_hidden(Tensor::from_vec(
+                    next_hidden.as_slice()[p * dh..(p + 1) * dh].to_vec(),
+                    &[dh],
+                ));
+            }
+            deltas = d.into_vec();
         }
 
-        // Phase 3: per-session decision, gated against the session's own
-        // slice of the envelope. Pricing is keyed to the *total* slot
-        // count (stable under quarantine), so a neighbor faulting or
-        // quarantining can never flip a healthy session's gate — the
-        // isolation invariant. A latency spike charges extra against the
-        // spiker's own slice (building its overrun streak) but never
-        // changes the mask decision.
-        let run_cost = self.shared_cost_per_run(total, None);
+        // Phase 3: per-session SSA decision, then gated degradation in
+        // session order. All pricing is keyed to the *total* slot count
+        // (stable under quarantine), never to `cfg.batch`, so a neighbor
+        // faulting or quarantining can never flip a healthy session's
+        // price — the isolation invariant.
+        let run_cost = self.shared_cost_per_run(total, self.sessions.iter().map(Session::spec));
         let slice =
             Latency::from_ms(self.cfg.deadline.ms() * self.cfg.admission_fill / total as f64);
-        let skip_costs: Vec<Latency> = live
-            .iter()
-            .map(|&i| self.shared_cost_skip(self.sessions[i].spec()))
-            .collect();
-        let uniform_costs: Vec<Latency> = live
-            .iter()
-            .map(|&i| self.shared_cost_uniform(self.sessions[i].spec()))
-            .collect();
-        let widen_costs: Vec<Latency> = live
-            .iter()
-            .map(|&i| {
-                let bd = self.soc.degraded_solo_path(
-                    self.cfg.backbone,
-                    self.sessions[i].spec().scene.hw_dataset(),
-                    f64::from(self.cfg.resilience.widen_factor),
-                    &[],
-                );
-                bd.esnet.0 + bd.segmentation.0
-            })
-            .collect();
-        let seg_costs: Vec<Latency> = live
-            .iter()
-            .map(|&i| {
-                self.soc
-                    .batched_solo_path(
-                        self.cfg.backbone,
-                        self.sessions[i].spec().scene.hw_dataset(),
-                        total,
-                    )
-                    .segmentation
-                    .0
-            })
-            .collect();
+        let (soc, cfg) = (&self.soc, &self.cfg);
         let mut work = Vec::with_capacity(l);
-        let mut rungs = Vec::with_capacity(l);
         let mut signals: Vec<Option<HealthSignal>> = vec![None; total];
-        for (p, &i) in live.iter().enumerate() {
-            let frame = &frames[p];
-            let obs = &obses[p];
-            let faults = &faultses[p];
+        for (p, (&i, (frame, obs, faults))) in live.iter().zip(&observed).enumerate() {
             let ses = &mut self.sessions[i];
+            let ds = ses.spec().scene.hw_dataset();
+            // Prices are memo lookups, taken where they gate and charge. A
+            // reuse still runs ESNet (the SSA needs gaze + preview every
+            // frame); segmentation does not.
+            let price = |w: &Work| match w {
+                Work::Run { widen, .. } if *widen > 1.0 => {
+                    shared(soc.degraded_solo_path(cfg.backbone, ds, f64::from(*widen), &[]))
+                }
+                Work::Run { .. } => run_cost,
+                Work::RunUniform => shared(soc.uniform_fallback_path(cfg.backbone, ds)),
+                Work::Reuse => soc.skip_path(ds).esnet.0,
+            };
+            // The gate: what is left of the shared in-order budget on a
+            // plain tick, the session's own slice on a supervised one. A run
+            // it refuses falls through to mask reuse for this tick.
+            let fits = |cost: Latency| {
+                if supervised {
+                    cost <= slice
+                } else {
+                    !budget.would_overrun(cost)
+                }
+            };
+            let gate = |w: Work| {
+                if matches!(w, Work::Reuse) || fits(price(&w)) {
+                    w
+                } else {
+                    Work::Reuse
+                }
+            };
+            let d = &deltas[p * 2..(p + 1) * 2];
+            let forecast = |g: GazePoint| GazePoint::new(g.x + d[0], g.y + d[1]);
             let mut preview = uniform_subsample(&frame.image, crop, crop);
             ses.injector_mut().corrupt_preview(&mut preview, faults);
 
             let (action, w) = if obs.is_usable() {
-                // Usable gaze: the plain-tick path, gated per slice.
                 let suppressed = obs.sample.phase.is_suppressed();
                 let gaze = if suppressed {
-                    let d = &deltas.as_slice()[p * 2..(p + 1) * 2];
-                    let g = ses.last_gaze();
-                    GazePoint::new(g.x + d[0], g.y + d[1])
+                    // Saccadic suppression: steer the crop by the forecast
+                    // landing point instead of the mid-flight sample.
+                    forecast(ses.last_gaze())
                 } else {
                     ses.set_last_gaze(obs.sample.point);
                     obs.sample.point
                 };
                 let wants_run = ses.ssa_mut().step(&preview, gaze, suppressed).must_run()
                     || ses.last_mask().is_none();
-                if !wants_run {
+                if !wants_run || fits(run_cost) {
                     ses.ladder_mut().reset();
-                    (DegradeAction::Nominal, Work::Reuse)
-                } else if run_cost <= slice {
-                    ses.ladder_mut().reset();
-                    (DegradeAction::Nominal, Work::Run { gaze, widen: 1.0 })
-                } else {
-                    let action = ses.ladder_mut().decide(&self.cfg.resilience);
-                    let w = match action {
-                        DegradeAction::WidenCrop { factor } if widen_costs[p] <= slice => {
-                            Work::Run {
-                                gaze,
-                                widen: factor,
-                            }
-                        }
-                        DegradeAction::UniformFallback if uniform_costs[p] <= slice => {
-                            Work::RunUniform
-                        }
-                        _ => Work::Reuse,
+                    let w = if wants_run {
+                        Work::Run { gaze, widen: 1.0 }
+                    } else {
+                        Work::Reuse
                     };
-                    (action, w)
+                    (DegradeAction::Nominal, w)
+                } else {
+                    // Overload: this session walks its ladder. Hold
+                    // presents the last mask; widen and uniform retry a
+                    // cheaper run; reuse is the floor.
+                    let action = ses.ladder_mut().decide(&cfg.resilience);
+                    (action, gate(Work::for_rung(action, gaze)))
                 }
             } else {
                 // Tracker dark: walk the ladder anchored on the held
                 // fixation, mirroring the streaming evaluator's rungs.
-                let action = ses.ladder_mut().decide(&self.cfg.resilience);
-                match action {
-                    DegradeAction::HoldFixation { .. } => {
-                        // Steer by the forecast from the held fixation.
-                        let d = &deltas.as_slice()[p * 2..(p + 1) * 2];
-                        let g = ses.last_gaze();
-                        let gaze = GazePoint::new(g.x + d[0], g.y + d[1]);
-                        let wants_run = ses.ssa_mut().step(&preview, gaze, false).must_run()
-                            || ses.last_mask().is_none();
-                        let w = if wants_run && run_cost <= slice {
-                            Work::Run { gaze, widen: 1.0 }
-                        } else {
-                            Work::Reuse
-                        };
-                        (action, w)
+                let action = ses.ladder_mut().decide(&cfg.resilience);
+                let w = if let DegradeAction::HoldFixation { .. } = action {
+                    // Steer by the forecast from the held fixation.
+                    let gaze = forecast(ses.last_gaze());
+                    let wants_run = ses.ssa_mut().step(&preview, gaze, false).must_run()
+                        || ses.last_mask().is_none();
+                    if wants_run {
+                        gate(Work::Run { gaze, widen: 1.0 })
+                    } else {
+                        Work::Reuse
                     }
-                    DegradeAction::WidenCrop { factor } if widen_costs[p] <= slice => {
-                        let g = ses.last_gaze();
-                        (
-                            action,
-                            Work::Run {
-                                gaze: g,
-                                widen: factor,
-                            },
-                        )
-                    }
-                    DegradeAction::UniformFallback if uniform_costs[p] <= slice => {
-                        (action, Work::RunUniform)
-                    }
-                    _ => (action, Work::Reuse),
-                }
+                } else {
+                    gate(Work::for_rung(action, ses.last_gaze()))
+                };
+                (action, w)
             };
             preview.recycle();
 
-            let base = match &w {
-                Work::Run { widen, .. } if *widen > 1.0 => widen_costs[p],
-                Work::Run { .. } => run_cost,
-                Work::RunUniform => uniform_costs[p],
-                Work::Reuse => skip_costs[p],
-            };
-            let spike_extra = match (&w, faults.latency_spike) {
+            // A latency spike charges extra segmentation against the
+            // spiker's own slice (building its overrun streak) but never
+            // changes the mask decision.
+            let spike = match (&w, faults.latency_spike) {
                 (Work::Reuse, _) | (_, None) => Latency::ZERO,
-                (_, Some(k)) => Latency::from_ms(seg_costs[p].ms() * (k - 1.0)),
+                (_, Some(k)) => {
+                    let seg = soc
+                        .batched_solo_path(cfg.backbone, ds, total)
+                        .segmentation
+                        .0;
+                    Latency::from_ms(seg.ms() * (k - 1.0))
+                }
             };
-            let charge = base + spike_extra;
+            let charge = price(&w) + spike;
             if !budget.charge(charge) {
                 rep.base.overrun = true;
             }
@@ -898,50 +712,42 @@ impl Server {
                 slice_overrun: charge > slice,
                 floor_dwell: ses.ladder().floor_dwell(),
             });
-            rungs.push(action.rung());
-            work.push(w);
+            work.push((action.rung(), w));
         }
         rep.base.spent_ms = budget.spent().ms();
         if rep.base.overrun {
             self.overruns += 1;
         }
 
-        // Phase 4: crops + batched inference for the running live
-        // sessions, plus (when configured) the oracle round-trip score of
-        // each served rung's sampling geometry.
+        // Phase 4: build every running session's warped crop (plus, when
+        // configured, the oracle round-trip score of its rung's sampling
+        // geometry), then segment them all through the batched head in
+        // `cfg.batch`-sized chunks.
         let score = self.cfg.resilience.score_round_trip;
-        let mut run_pos = Vec::new();
+        let mut run_idx = Vec::new();
         let mut crops = Vec::new();
-        for (p, w) in work.iter().enumerate() {
-            let ses = &self.sessions[live[p]];
+        for ((&i, (frame, ..)), (rung, w)) in live.iter().zip(&observed).zip(&work) {
+            let ses = &mut self.sessions[i];
             let map = match w {
-                Work::Run { gaze, widen } => {
-                    let sal = gaze_saliency(
-                        crop,
-                        crop,
-                        (gaze.x, gaze.y),
-                        SALIENCY_SIGMA_FRAC,
-                        SALIENCY_FLOOR,
-                    );
-                    let map = IndexMap::from_saliency(&ses.sampler_spec(crop, *widen), &sal);
-                    sal.recycle();
-                    map
-                }
+                Work::Run { gaze, widen } => gaze_map(ses, crop, *gaze, *widen),
                 Work::RunUniform => IndexMap::uniform(&ses.sampler_spec(crop, 1.0)),
-                Work::Reuse => continue,
+                Work::Reuse => {
+                    ses.stats_mut().reuses += 1;
+                    continue;
+                }
             };
+            ses.stats_mut().runs += 1;
             if score {
                 let n = ses.resolution();
-                let gt = frames[p].ioi_mask.reshape(&[1, n, n]);
+                let gt = frame.ioi_mask.reshape(&[1, n, n]);
                 let up = map
                     .upsample(&map.sample_nearest(&gt))
                     .into_reshaped(&[n, n])
                     .map(|v| if v > 0.5 { 1.0 } else { 0.0 });
-                let b = binary_iou(&up, &frames[p].ioi_mask);
-                self.rung_scores[rungs[p]].push(b, 0.0);
+                self.rung_scores[*rung].push(binary_iou(&up, &frame.ioi_mask), 0.0);
             }
-            crops.push(map.sample_bilinear(&frames[p].image));
-            run_pos.push(p);
+            crops.push(map.sample_bilinear(&frame.image));
+            run_idx.push(i);
         }
         for chunk_start in (0..crops.len()).step_by(self.cfg.batch) {
             let chunk_end = (chunk_start + self.cfg.batch).min(crops.len());
@@ -949,33 +755,27 @@ impl Server {
                 .model
                 .infer_batch(&crops[chunk_start..chunk_end], self.cfg.precision);
             for (off, mask) in masks.into_iter().enumerate() {
-                self.sessions[live[run_pos[chunk_start + off]]].set_last_mask(mask);
+                self.sessions[run_idx[chunk_start + off]].set_last_mask(mask);
             }
         }
         for c in crops {
             c.recycle();
         }
-        rep.base.ran += run_pos.len();
-        rep.base.reused += l - run_pos.len();
+        rep.base.ran += run_idx.len();
+        rep.base.reused += l - run_idx.len();
         self.frames_ran += rep.base.ran;
-        for p in 0..l {
-            let st = self.sessions[live[p]].stats_mut();
-            if run_pos.contains(&p) {
-                st.runs += 1;
-            } else {
-                st.reuses += 1;
-            }
-        }
 
-        // Phase 5: supervision. Streaks update from this tick's signals;
-        // sessions crossing a threshold checkpoint, park, and drop out of
-        // the batched dispatch starting next tick.
-        for i in self.supervisor.tick(&signals) {
-            if let Some(ses) = self.sessions.get_mut(i) {
-                let cp = ses.checkpoint();
-                ses.park();
-                self.supervisor.quarantine(i, cp, now);
-                rep.newly_quarantined += 1;
+        // Phase 5 (supervised ticks only): supervision. Streaks update from
+        // this tick's signals; sessions crossing a threshold checkpoint,
+        // park, and drop out of the batched dispatch starting next tick.
+        if supervised {
+            for i in self.supervisor.tick(&signals) {
+                if let Some(ses) = self.sessions.get_mut(i) {
+                    let cp = ses.checkpoint();
+                    ses.park();
+                    self.supervisor.quarantine(i, cp, now);
+                    rep.newly_quarantined += 1;
+                }
             }
         }
         rep
@@ -1005,26 +805,15 @@ impl Server {
         *cand.stats_mut() = *self.sessions[i].stats();
         let frame = cand.next_frame();
         let (obs, _faults) = cand.injector_mut().observe(&frame.gaze);
+        let ds = cand.spec().scene.hw_dataset();
         if obs.is_usable() {
             // Healthy again: serve one unamortized solo frame (outside the
             // batch — probes never stack with healthy sessions' dispatch)
             // and re-admit.
-            let bd = self
-                .soc
-                .probe_path(self.cfg.backbone, cand.spec().scene.hw_dataset());
-            let charge = bd.esnet.0 + bd.segmentation.0;
+            let charge = shared(self.soc.probe_path(self.cfg.backbone, ds));
             let gaze = obs.sample.point;
             cand.set_last_gaze(gaze);
-            let sal = gaze_saliency(
-                crop,
-                crop,
-                (gaze.x, gaze.y),
-                SALIENCY_SIGMA_FRAC,
-                SALIENCY_FLOOR,
-            );
-            let map = IndexMap::from_saliency(&cand.sampler_spec(crop, 1.0), &sal);
-            sal.recycle();
-            let c = map.sample_bilinear(&frame.image);
+            let c = gaze_map(&cand, crop, gaze, 1.0).sample_bilinear(&frame.image);
             let masks = self
                 .model
                 .infer_batch(std::slice::from_ref(&c), self.cfg.precision);
@@ -1042,8 +831,9 @@ impl Server {
             (true, charge)
         } else {
             // Still dark: persist the advanced injector/cursor so the
-            // outage keeps draining across probes, and back off.
-            let charge = self.shared_cost_skip(cand.spec());
+            // outage keeps draining across probes, and back off. The probe
+            // is charged a reuse frame's ESNet pass.
+            let charge = self.soc.skip_path(ds).esnet.0;
             let st = cand.stats_mut();
             st.frames += 1;
             st.reuses += 1;
@@ -1188,7 +978,9 @@ mod tests {
             assert_eq!(srv.admit(SessionSpec::nth(3, i)), AdmitOutcome::Admitted(i));
         }
         // Squeeze the live fleet: a deadline that fits roughly one run.
-        let one_run = srv.shared_cost_per_run(4, None).ms();
+        let one_run = srv
+            .shared_cost_per_run(4, srv.sessions().iter().map(Session::spec))
+            .ms();
         srv.cfg.deadline = Latency::from_ms(one_run * 1.5);
         let r = srv.tick();
         assert!(r.degraded > 0, "tight deadline must degrade someone");
@@ -1297,5 +1089,45 @@ mod tests {
         );
         assert!(!srv.supervisor().is_quarantined(0));
         assert!(!srv.sessions()[0].is_parked());
+    }
+
+    #[test]
+    fn plain_ticks_honour_an_existing_quarantine() {
+        let mut srv = server(1000.0, 4);
+        let spec = SessionSpec::nth(7, 0).with_plan(FaultPlan::dropout(21, 1.0));
+        assert_eq!(srv.admit(spec), AdmitOutcome::Admitted(0));
+        assert_eq!(srv.admit(SessionSpec::nth(7, 1)), AdmitOutcome::Admitted(1));
+        for _ in 0..600 {
+            if srv.supervisor().is_quarantined(0) {
+                break;
+            }
+            srv.tick_supervised();
+        }
+        assert!(
+            srv.supervisor().is_quarantined(0),
+            "must quarantine: {srv:?}"
+        );
+
+        let before = *srv.sessions()[0].stats();
+        srv.tick();
+        let after = *srv.sessions()[0].stats();
+        assert!(srv.sessions()[0].is_parked(), "a plain tick un-parked it");
+        assert!(srv.supervisor().is_quarantined(0));
+        assert_eq!(after.runs, before.runs, "a quarantined slot was segmented");
+        let floor = DegradeAction::ReuseMask.rung();
+        assert_eq!(after.frames, before.frames + 1);
+        assert_eq!(after.rung_frames[floor], before.rung_frames[floor] + 1);
+
+        let probes = srv.supervisor().probes();
+        for _ in 0..64 {
+            if srv.supervisor().probes() > probes {
+                break;
+            }
+            srv.tick();
+        }
+        assert!(
+            srv.supervisor().probes() > probes,
+            "plain ticks must run due probes: {srv:?}"
+        );
     }
 }
