@@ -1,8 +1,8 @@
-//! ASCII timing diagrams from pipeline traces — the Fig. 11 view of a
+//! ASCII timing diagrams of priced frames — the Fig. 11 view of a
 //! frame's life through the SoC — and the per-frame deadline budget the
 //! resilience layer charges stage latencies against.
 
-use crate::soc::StageEvent;
+use crate::soc::CostBreakdown;
 use crate::Latency;
 
 /// A per-frame latency budget. The streaming loop charges each stage's
@@ -73,50 +73,54 @@ impl FrameBudget {
     }
 }
 
-/// Renders trace events as an ASCII Gantt chart, one row per stage, with a
-/// time axis in milliseconds. `width` is the chart width in characters.
+/// Renders a priced frame as an ASCII Gantt chart, one row per stage laid
+/// end to end in critical-path order, with a time axis in milliseconds.
+/// `width` is the chart width in characters; every stage that takes time
+/// gets at least one cell.
 ///
 /// ```
-/// use solo_hw::soc::{Backbone, Dataset, Pipeline, SocModel, Trace};
+/// use solo_hw::soc::{Backbone, Dataset, Pipeline, SocModel};
 /// use solo_hw::timing::render_gantt;
 ///
-/// let trace = Trace::new();
-/// SocModel::default().evaluate_traced(Pipeline::Solo, Backbone::Hr, Dataset::Lvis, &trace);
-/// let chart = render_gantt(&trace.events(), 60);
+/// let cost = SocModel::default().evaluate(Pipeline::Solo, Backbone::Hr, Dataset::Lvis);
+/// let chart = render_gantt(&cost, 60);
 /// assert!(chart.contains("segmentation"));
 /// ```
 ///
 /// # Panics
 ///
 /// Panics if `width < 10`.
-pub fn render_gantt(events: &[StageEvent], width: usize) -> String {
+pub fn render_gantt(cost: &CostBreakdown, width: usize) -> String {
     assert!(width >= 10, "chart width must be at least 10");
-    if events.is_empty() {
-        return String::from("(no events)\n");
-    }
-    let total_us: f64 = events
+    let stages = [
+        ("sensing", cost.sensing.0),
+        ("mipi", cost.mipi.0),
+        ("dram", cost.dram.0),
+        ("esnet", cost.esnet.0),
+        ("segmentation", cost.segmentation.0),
+        ("display", cost.display.0),
+    ];
+    let total_us = cost.latency().us().max(1e-9);
+    let label_width = stages
         .iter()
-        .map(|e| e.start_us + e.duration.us())
-        .fold(0.0, f64::max)
-        .max(1e-9);
-    let label_width = events
-        .iter()
-        .map(|e| e.stage.len())
-        .max()
-        .unwrap_or(8)
-        .max(8);
+        .map(|(stage, _)| stage.len())
+        .fold(0, usize::max);
     let mut out = String::new();
-    for e in events {
-        let start = ((e.start_us / total_us) * width as f64).round() as usize;
-        let len = (((e.duration.us()) / total_us) * width as f64).ceil() as usize;
-        let len = len.max(if e.duration.us() > 0.0 { 1 } else { 0 });
-        let start = start.min(width);
-        let len = len.min(width - start);
-        out.push_str(&format!("{:<label_width$} |", e.stage));
+    let mut start_us = 0.0;
+    for (stage, duration) in stages {
+        // A stage that takes time keeps one cell, even when it starts in
+        // the chart's last half-cell.
+        let min_len = usize::from(duration.us() > 0.0);
+        let len = ((duration.us() / total_us) * width as f64).ceil() as usize;
+        let start = ((start_us / total_us) * width as f64).round() as usize;
+        let start = start.min(width - min_len);
+        let len = len.max(min_len).min(width - start);
+        out.push_str(&format!("{stage:<label_width$} |"));
         out.push_str(&" ".repeat(start));
         out.push_str(&"█".repeat(len));
         out.push_str(&" ".repeat(width - start - len));
-        out.push_str(&format!("| {:>8.2} ms\n", e.duration.ms()));
+        out.push_str(&format!("| {:>8.2} ms\n", duration.ms()));
+        start_us += duration.us();
     }
     out.push_str(&format!(
         "{:<label_width$} |{}| total {:.2} ms\n",
@@ -130,12 +134,13 @@ pub fn render_gantt(events: &[StageEvent], width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::soc::{Backbone, Dataset, Pipeline, SocModel, Trace};
+    use crate::soc::{Backbone, Dataset, Pipeline, SocModel};
 
     fn chart(pipeline: Pipeline) -> String {
-        let trace = Trace::new();
-        SocModel::default().evaluate_traced(pipeline, Backbone::Hr, Dataset::Lvis, &trace);
-        render_gantt(&trace.events(), 50)
+        render_gantt(
+            &SocModel::default().evaluate(pipeline, Backbone::Hr, Dataset::Lvis),
+            50,
+        )
     }
 
     #[test]
@@ -164,8 +169,41 @@ mod tests {
     }
 
     #[test]
-    fn empty_trace_renders_placeholder() {
-        assert_eq!(render_gantt(&[], 40), "(no events)\n");
+    fn every_stage_that_takes_time_keeps_a_cell() {
+        // A short last stage that starts in the chart's last half-cell
+        // (FR+GPU's display) must still show, inside the chart's width.
+        let soc = SocModel::default();
+        let pipelines = Pipeline::FIG13.into_iter().chain(Pipeline::TABLE4);
+        for (p, b, d) in pipelines
+            .flat_map(|p| Backbone::ALL.map(|b| (p, b)))
+            .flat_map(|(p, b)| Dataset::MAIN.map(|d| (p, b, d)))
+        {
+            let cost = soc.evaluate(p, b, d);
+            let stages = [
+                cost.sensing.0,
+                cost.mipi.0,
+                cost.dram.0,
+                cost.esnet.0,
+                cost.segmentation.0,
+                cost.display.0,
+            ];
+            for width in [50, 56, 60] {
+                let chart = render_gantt(&cost, width);
+                for (row, duration) in chart.lines().zip(stages) {
+                    let bar = row.split('|').nth(1).expect("a bar between rules");
+                    assert_eq!(bar.chars().count(), width, "{row}");
+                    if duration > Latency::ZERO {
+                        assert!(
+                            bar.contains('█'),
+                            "{} {} {} at width {width}: empty row\n{chart}",
+                            p.name(),
+                            b.name(),
+                            d.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use solo_core::backbones::BackboneKind;
 use solo_core::solonet::FoveatedPipeline;
 use solo_core::solonet::PipelineConfig;
-use solo_hw::soc::{Backbone, Dataset, Pipeline, SocModel, Trace};
+use solo_hw::soc::{Backbone, Dataset, Pipeline, SocModel};
 use solo_hw::timing::render_gantt;
 use solo_sampler::uniform_subsample;
 use solo_scene::export::{overlay_mask, write_pgm, write_ppm};
@@ -64,13 +64,12 @@ fn main() -> std::io::Result<()> {
         sample.ioi_class.id()
     );
 
+    let soc = SocModel::default();
     println!("\nframe timing through the SoC (SOLO pipeline, HR on Aria):\n");
-    let trace = Trace::new();
-    SocModel::default().evaluate_traced(Pipeline::Solo, Backbone::Hr, Dataset::Aria, &trace);
-    print!("{}", render_gantt(&trace.events(), 56));
+    let solo = soc.evaluate(Pipeline::Solo, Backbone::Hr, Dataset::Aria);
+    print!("{}", render_gantt(&solo, 56));
     println!("\nand the same frame through the conventional FR+GPU path:\n");
-    let trace = Trace::new();
-    SocModel::default().evaluate_traced(Pipeline::FrGpu, Backbone::Hr, Dataset::Aria, &trace);
-    print!("{}", render_gantt(&trace.events(), 56));
+    let fr = soc.evaluate(Pipeline::FrGpu, Backbone::Hr, Dataset::Aria);
+    print!("{}", render_gantt(&fr, 56));
     Ok(())
 }
