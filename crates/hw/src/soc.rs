@@ -625,6 +625,8 @@ impl SocModel {
                         // not return `t`.
                         let b = batch as f64;
                         let share_ms = (self.gpu.latency(b * gflops).ms() / b).min(t.ms());
+                        // lint:allow(U1): the archived batched prices were computed
+                        // through this millisecond round trip; dropping it moves bits.
                         t = Latency::from_ms(share_ms);
                     }
                     add(&mut cost.segmentation, (t, self.gpu.energy(t)));

@@ -10,6 +10,9 @@
 //!   is matched against impl targets and file stems;
 //! * `recv.f(…)` — method-name fallback: edges to *every* workspace method
 //!   named `f` (the receiver's type is unknown without type inference);
+//! * `Q::f(…)` whose qualifier is no workspace type or module — a generic
+//!   parameter (`E::tile(…)`) or a foreign type — gets the same method-name
+//!   fallback when a workspace method is named `f`;
 //! * `f(…)` — same-file functions first, any workspace `f` otherwise;
 //! * calls whose name matches nothing in the workspace are *external*
 //!   (std, vendored stubs) and cannot reach workspace code;
@@ -170,6 +173,13 @@ impl CallGraph {
                                 path: format!("{q}::{}", site.name),
                             });
                             &[]
+                        } else if let Some(t) = methods.get(site.name.as_str()) {
+                            // No workspace type or module, but a workspace
+                            // method name: a generic parameter's call
+                            // (`E::tile(…)`) reaches the trait impls, so
+                            // bind by name like `recv.f(…)`.
+                            stats.fallback += 1;
+                            t
                         } else {
                             stats.external += 1;
                             &[]
@@ -391,6 +401,24 @@ mod tests {
         assert!(g.edges[driver].contains(&idx(&g, "A::go")));
         assert!(g.edges[driver].contains(&idx(&g, "B::go")));
         assert_eq!(g.stats.fallback, 1);
+    }
+
+    #[test]
+    fn generic_parameter_calls_bind_to_the_trait_impls() {
+        let g = graph(&[(
+            "crates/demo/src/lib.rs",
+            "trait Lane {\n    fn tile();\n}\n\
+             impl Lane for f32 {\n    fn tile() { kernel(); }\n}\n\
+             fn kernel() {}\n\
+             fn walk<E: Lane>() { E::tile(); }\n",
+        )]);
+        let walk = idx(&g, "walk");
+        // `E` is neither a workspace type nor a module; the call still
+        // reaches the impl, and through it the kernel.
+        assert!(g.edges[walk].contains(&idx(&g, "f32::tile")));
+        let reach = g.reachable_from(&g.roots(|f| f.name == "walk"));
+        assert!(reach[idx(&g, "kernel")].is_some());
+        assert_eq!(g.stats.external, 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::source::SourceFile;
 /// rewritten in safe Rust or the allow-list grown deliberately in review.
 pub const UNSAFE_ALLOWED: &[&str] = &[
     "crates/tensor/src/packed.rs",
-    "crates/tensor/src/packed/simd_i8.rs",
+    "crates/tensor/src/packed/simd.rs",
 ];
 
 /// Whether `f` is a P2 hot-path root: the streaming frame loop, the gaze
@@ -239,7 +239,7 @@ fn find_take(code: &str) -> Option<usize> {
 }
 
 /// The name bound by a `let [mut] NAME = …` line.
-fn binding_name(code: &str) -> Option<String> {
+pub(crate) fn binding_name(code: &str) -> Option<String> {
     let rest = code.trim_start().strip_prefix("let ")?;
     let rest = rest.trim_start().strip_prefix("mut ").unwrap_or(rest);
     let name: String = rest
@@ -251,7 +251,7 @@ fn binding_name(code: &str) -> Option<String> {
 }
 
 /// Whether `code` mentions `name` as a standalone identifier.
-fn mentions(code: &str, name: &str) -> bool {
+pub(crate) fn mentions(code: &str, name: &str) -> bool {
     for (pos, _) in code.match_indices(name) {
         let before_ok = !code[..pos]
             .chars()
@@ -439,22 +439,22 @@ mod tests {
         );
         assert!(unsafe_audit(&documented).is_empty());
 
-        // The int8 micro-kernel module is on the allow-list too — same
+        // The SIMD micro-kernel module is on the allow-list too — same
         // SAFETY-comment discipline applies.
-        let (simd_i8, _) = file(
-            "crates/tensor/src/packed/simd_i8.rs",
+        let (simd, _) = file(
+            "crates/tensor/src/packed/simd.rs",
             "fn f() {\n\
              \x20   // SAFETY: caller checked avx2 via level().\n\
              \x20   #[allow(unsafe_code)]\n\
              \x20   unsafe { danger() }\n\
              }\n",
         );
-        assert!(unsafe_audit(&simd_i8).is_empty());
-        let (simd_i8_bare, _) = file(
-            "crates/tensor/src/packed/simd_i8.rs",
+        assert!(unsafe_audit(&simd).is_empty());
+        let (simd_bare, _) = file(
+            "crates/tensor/src/packed/simd.rs",
             "fn f() {\n    unsafe { danger() }\n}\n",
         );
-        let v = unsafe_audit(&simd_i8_bare);
+        let v = unsafe_audit(&simd_bare);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("SAFETY"));
     }

@@ -22,6 +22,7 @@
 //! `// lint:allow(RULE): reason` waivers (checked by the caller via
 //! [`SourceFile::waived`]).
 
+use crate::flows::{binding_name, mentions};
 use crate::source::SourceFile;
 
 /// One rule violation at a file/line.
@@ -144,7 +145,8 @@ pub const RULES: &[RuleInfo] = &[
         id: "U1",
         scope: "crates/hw",
         invariant: "public APIs move time/energy in the Latency/Energy newtypes, never raw \
-                    unit-suffixed f64s, and never unwrap a quantity just to rewrap it",
+                    unit-suffixed f64s, and never unwrap a quantity just to rewrap it \
+                    (also across a `let` that holds the unwrapped value)",
         waiver: "// lint:allow(U1): <justification — why the raw f64 is safe here>",
     },
     RuleInfo {
@@ -180,7 +182,7 @@ pub const RULES: &[RuleInfo] = &[
         id: "S1",
         scope: "whole workspace",
         invariant: "every `unsafe` carries a SAFETY comment justifying its proof obligations \
-                    and lives in an allow-listed module (currently tensor::packed only)",
+                    and lives in an allow-listed file (tensor's packed.rs and packed/simd.rs)",
         waiver: "// lint:allow(S1): <justification — the proof the comment cannot express>",
     },
     RuleInfo {
@@ -324,7 +326,8 @@ fn panic_policy(file: &SourceFile, out: &mut Vec<Violation>) {
 /// U1 — unit safety (`crates/hw` only): public functions must not take
 /// raw `f64` parameters with unit-suffixed names (use the `Latency`/
 /// `Energy` newtypes), and quantities must not be unwrapped to `f64` just
-/// to be rewrapped.
+/// to be rewrapped — on one line, or split over a `let` that holds the
+/// unwrapped value and a later rewrap of that name in the same file.
 fn unit_safety(file: &SourceFile, out: &mut Vec<Violation>) {
     // units.rs defines the newtypes; its constructors must take raw f64
     // and its operator impls legitimately unwrap and rewrap.
@@ -338,20 +341,35 @@ fn unit_safety(file: &SourceFile, out: &mut Vec<Violation>) {
         (".uj()", "Energy::from_uj("),
         (".mj()", "Energy::from_mj("),
     ];
+    // `let` names holding an unwrapped quantity, with their unwrap needle.
+    let mut unwrapped: Vec<(String, &str)> = Vec::new();
     for (idx, line) in file.lines.iter().enumerate() {
         if line.in_test {
             continue;
         }
         for (unwrap, rewrap) in REWRAP {
-            if line.code.contains(unwrap) && line.code.contains(rewrap) {
-                out.push(Violation {
-                    file: file.rel.clone(),
-                    line: idx + 1,
-                    rule: "U1",
-                    message: format!(
-                        "unwrap-rewrap `{unwrap}` → `{rewrap}…)`: keep the quantity in its newtype"
-                    ),
-                });
+            let unwraps = line.code.contains(unwrap);
+            if let Some(pos) = line.code.find(rewrap) {
+                let arg = &line.code[pos + rewrap.len()..];
+                let split = unwrapped
+                    .iter()
+                    .find(|(name, u)| u == unwrap && mentions(arg, name));
+                if unwraps || split.is_some() {
+                    let via = split.map_or(String::new(), |(name, _)| format!(" via `let {name}`"));
+                    out.push(Violation {
+                        file: file.rel.clone(),
+                        line: idx + 1,
+                        rule: "U1",
+                        message: format!(
+                            "unwrap-rewrap `{unwrap}` → `{rewrap}…)`{via}: keep the quantity in its newtype"
+                        ),
+                    });
+                }
+            }
+            if unwraps {
+                if let Some(name) = binding_name(&line.code) {
+                    unwrapped.push((name, unwrap));
+                }
             }
         }
         // Public fn signature with a raw unit-suffixed f64 parameter.
@@ -821,6 +839,30 @@ mod tests {
         );
         let v = check_file(&f, FileKind::Library);
         assert!(v.iter().any(|v| v.rule == "U1"), "{v:?}");
+    }
+
+    #[test]
+    fn u1_follows_a_let_from_the_unwrap_to_its_rewrap() {
+        let split = "let share_ms = (gpu.latency(g).ms() / b).min(t.ms());\n\
+                     let other = 2.0;\n\
+                     t = Latency::from_ms(share_ms);";
+        let f = SourceFile::parse("crates/hw/src/soc.rs", split);
+        let v = check_file(&f, FileKind::Library);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), ("U1", 3));
+        assert!(v[0].message.contains("let share_ms"), "{v:?}");
+        // A rewrap of an unrelated name, or of the name in another unit,
+        // is not the round trip.
+        let unrelated = "let share_ms = t.ms();\n\
+                         let a = Latency::from_ms(budget_ms);\n\
+                         let b = Latency::from_us(share_ms);";
+        let f = SourceFile::parse("crates/hw/src/soc.rs", unrelated);
+        assert!(check_file(&f, FileKind::Library).is_empty());
+        let waived = "let share_ms = t.ms();\n\
+                      // lint:allow(U1): kept for bit-identical archives\n\
+                      t = Latency::from_ms(share_ms);";
+        let f = SourceFile::parse("crates/hw/src/soc.rs", waived);
+        assert!(check_file(&f, FileKind::Library).is_empty());
     }
 
     #[test]
