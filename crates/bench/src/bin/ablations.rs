@@ -10,9 +10,8 @@ use solo_bench::header;
 use solo_hw::accelerator::{Accelerator, Workload};
 use solo_hw::calib::accelerator as acal;
 use solo_hw::sensor::{synthetic_foveated_selection, Lighting, Sensor};
-use solo_nn::quant;
 use solo_sampler::{gaze_saliency, IndexMap, SamplerSpec};
-use solo_tensor::{normal, seeded_rng};
+use solo_tensor::{normal, seeded_rng, QPackedMatrix};
 
 fn main() {
     pruning();
@@ -44,9 +43,11 @@ fn quantization() {
     header("Ablation 2 — int8 vs f32 datapath");
     let mut rng = seeded_rng(9);
     let a = normal(&mut rng, &[64, 384], 0.0, 1.0);
-    let b = normal(&mut rng, &[384, 384], 0.0, 1.0);
-    let exact = a.matmul(&b);
-    let q = quant::fake_quant_matmul(&a, &b);
+    let w = normal(&mut rng, &[384, 384], 0.0, 1.0);
+    // The product `Linear::infer_quant` runs: activations quantized per
+    // tensor on the fly, weights per output channel at pack time.
+    let exact = a.matmul_at(&w);
+    let q = a.qmatmul_packed(&QPackedMatrix::pack_rhs_transposed(&w));
     let rel = exact.sub(&q).norm_sq().sqrt() / exact.norm_sq().sqrt();
     // f32 MACs cost ≈ 4× an int8 MAC at iso-node (energy tables).
     let w = Workload::esnet(80, 80, 0.7);

@@ -1,9 +1,9 @@
 //! # solo-bench
 //!
 //! The benchmark harness: one binary per table/figure of the paper
-//! (`cargo run --release -p solo-bench --bin <name>`), plus Criterion
-//! benches over the hot simulator and algorithm paths and ablation sweeps
-//! for the design choices called out in DESIGN.md.
+//! (`cargo run --release -p solo-bench --bin <name>`), plus the kernel,
+//! serving, chaos and streaming sweeps and ablation sweeps for the design
+//! choices called out in DESIGN.md.
 //!
 //! | binary   | regenerates |
 //! |----------|-------------|
@@ -22,7 +22,7 @@
 //! | `fig17`  | Fig. 17 — simulated user study |
 //! | `davis`  | Section 6.6 — DAVIS robustness |
 //! | `streaming` | Speculation sweep (K × saccade rate × deadline), archived in `BENCH_streaming.json` |
-//! | `serving` | Multi-session serving: cross-session batched inference core + sessions × deadline × batch sweep, archived in `BENCH_serving.json` |
+//! | `serving` | Multi-session serving: sessions × deadline × batch sweep over a real `Server`, archived in `BENCH_serving.json` |
 //! | `area`   | Section 6.1 — accelerator area breakdown |
 //! | `ablations` | DESIGN.md ablations (pruning, quant, ADC groups, σ, λ) |
 //!

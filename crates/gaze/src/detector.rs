@@ -4,50 +4,13 @@
 //! flags saccades from the predicted gaze stream (Section 3.2); during a
 //! saccade the SOLO Streaming Algorithm skips segmentation entirely
 //! (Condition 2 of Figure 6 (c)) because saccadic suppression blinds the
-//! user to stale output. [`RnnSaccadeDetector`] reproduces that module;
-//! [`ThresholdSaccadeDetector`] is the classical velocity-threshold
-//! baseline used for comparison and for labeling.
+//! user to stale output. [`RnnSaccadeDetector`] reproduces that module.
 
 use rand::Rng;
 use solo_nn::{loss, Layer, Linear, Optimizer, Rnn, Sgd, Sigmoid};
 use solo_tensor::Tensor;
 
 use crate::GazeSample;
-
-/// Velocity-threshold (I-VT) saccade detector: flags a sample whenever the
-/// instantaneous gaze speed exceeds a threshold.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThresholdSaccadeDetector {
-    /// Speed threshold in normalized view units per second.
-    pub speed_threshold: f32,
-}
-
-impl Default for ThresholdSaccadeDetector {
-    fn default() -> Self {
-        // A 0.1-amplitude saccade lasting ~60 ms moves ≈1.7 units/s; slow
-        // pursuit and fixation jitter stay well below 0.5 units/s.
-        Self {
-            speed_threshold: 0.8,
-        }
-    }
-}
-
-impl ThresholdSaccadeDetector {
-    /// Classifies each sample of a trace. The first sample is never a
-    /// saccade (no velocity estimate).
-    pub fn detect(&self, trace: &[GazeSample]) -> Vec<bool> {
-        let mut out = vec![false; trace.len()];
-        for i in 1..trace.len() {
-            let dt_s = ((trace[i].t_ms - trace[i - 1].t_ms) / 1000.0) as f32;
-            if dt_s <= 0.0 {
-                continue;
-            }
-            let speed = trace[i].point.distance(&trace[i - 1].point) / dt_s;
-            out[i] = speed > self.speed_threshold;
-        }
-        out
-    }
-}
 
 /// The paper's RNN saccade detector: a single-layer Elman RNN over the gaze
 /// displacement stream with a sigmoid readout per step.
@@ -162,38 +125,6 @@ mod tests {
         let model = EyeBehaviorModel::new(EyeBehaviorConfig::default());
         let mut rng = seeded_rng(seed);
         (0..n).map(|_| model.generate(len, &mut rng)).collect()
-    }
-
-    #[test]
-    fn threshold_detector_catches_most_saccade_samples() {
-        let trace = &traces(1, 3000, 1)[0];
-        let det = ThresholdSaccadeDetector::default().detect(trace);
-        let mut hits = 0;
-        let mut saccades = 0;
-        let mut false_pos = 0;
-        let mut fixations = 0;
-        for (d, s) in det.iter().zip(trace) {
-            match s.phase {
-                EyePhase::Saccade => {
-                    saccades += 1;
-                    if *d {
-                        hits += 1;
-                    }
-                }
-                EyePhase::Fixation => {
-                    fixations += 1;
-                    if *d {
-                        false_pos += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        assert!(saccades > 0);
-        let recall = hits as f32 / saccades as f32;
-        let fpr = false_pos as f32 / fixations as f32;
-        assert!(recall > 0.5, "recall {recall}");
-        assert!(fpr < 0.05, "false positive rate {fpr}");
     }
 
     #[test]

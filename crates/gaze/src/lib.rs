@@ -1,11 +1,11 @@
 //! # solo-gaze
 //!
 //! Human eye-movement behaviour for SOLO: a generative model of gaze traces
-//! (fixation / saccade / smooth pursuit, Section 2.1 of the paper), saccade
-//! detectors (both a velocity-threshold baseline and the paper's single-layer
-//! RNN), a synthetic eye-image renderer standing in for the OpenEDS2020
-//! dataset, the video-segment / gaze statistics behind the paper's
-//! Figure 3 user study, and a recurrent saccade landing-point predictor
+//! (fixation / saccade / smooth pursuit, Section 2.1 of the paper), the
+//! paper's single-layer RNN saccade detector, a synthetic eye-image
+//! renderer standing in for the OpenEDS2020 dataset, the video-segment /
+//! gaze statistics behind the paper's Figure 3 user study, and a
+//! recurrent saccade landing-point predictor
 //! ([`GazePredictor`]) that turns the pipeline speculative.
 //!
 //! Physiological constants follow the paper's citations: saccade durations
@@ -31,15 +31,13 @@
 mod behavior;
 mod detector;
 mod eye_image;
-pub mod fixation;
 pub mod predictor;
 mod study;
 mod types;
 
 pub use behavior::{EyeBehaviorConfig, EyeBehaviorModel};
-pub use detector::{RnnSaccadeDetector, ThresholdSaccadeDetector};
+pub use detector::RnnSaccadeDetector;
 pub use eye_image::{render_eye, EyeImageConfig};
-pub use fixation::{detect_fixations, Fixation, IdtConfig};
 pub use predictor::{GazePrediction, GazePredictor, PredictorConfig};
 pub use study::{gaze_distances_px, segment_video, view_diff, GazeStudyStats, VideoSegment};
 pub use types::{EyePhase, GazeObservation, GazePoint, GazeSample, GazeSource, TrackerStatus};

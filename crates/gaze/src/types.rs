@@ -189,16 +189,6 @@ impl GazeObservation {
         }
     }
 
-    /// Wraps an earlier measurement carried forward at decayed confidence.
-    pub fn held(sample: GazeSample, status: TrackerStatus, confidence: f32) -> Self {
-        Self {
-            sample,
-            status,
-            source: GazeSource::Held,
-            confidence: confidence.clamp(0.0, 1.0),
-        }
-    }
-
     /// Whether the observation carries a current, actionable estimate.
     pub fn is_usable(&self) -> bool {
         self.status.is_usable()
@@ -275,10 +265,8 @@ mod tests {
         assert_eq!(p.source, GazeSource::Predicted);
         assert!(!p.is_usable(), "usability still follows delivery status");
         assert_eq!(p.confidence, 0.8);
-        // A held fixation repeated over a dropout.
-        let h = GazeObservation::held(s, TrackerStatus::Lost, 1.7);
-        assert_eq!(h.source, GazeSource::Held);
-        assert_eq!(h.confidence, 1.0, "confidence clamps into [0, 1]");
+        let sure = GazeObservation::predicted(s, TrackerStatus::Lost, 1.7);
+        assert_eq!(sure.confidence, 1.0, "confidence clamps into [0, 1]");
         assert_eq!(GazeSource::Predicted.name(), "predicted");
     }
 }

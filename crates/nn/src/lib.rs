@@ -12,8 +12,9 @@
 //! * [`RnnCell`] / [`Rnn`] — the single-layer recurrent saccade detector;
 //! * [`prune`] — attention-score token pruning (Section 3.2 / the token
 //!   selector in the SOLO accelerator);
-//! * [`quant`] — int8 symmetric quantization and the quantized GEMM the
-//!   accelerator executes;
+//! * [`Layer::infer_quant`] — int8 inference for [`Linear`] and [`Conv2d`]
+//!   on `solo-tensor`'s quantized GEMM, the 8-bit MACs the accelerator
+//!   executes;
 //! * [`loss`] — Dice loss and the l2 saliency regularizer of Eq. 4, plus
 //!   cross-entropy for the classification head;
 //! * [`Sgd`] / [`Adam`] optimizers.
@@ -53,7 +54,6 @@ mod optim;
 mod param;
 mod pool;
 pub mod prune;
-pub mod quant;
 mod rnn;
 pub mod serialize;
 mod transformer;

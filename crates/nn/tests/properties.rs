@@ -1,7 +1,7 @@
-//! Property-based tests on quantization, loss, and convolution invariants.
+//! Property-based tests on loss, pruning and convolution invariants.
 
 use proptest::prelude::*;
-use solo_nn::{loss, prune, quant::QTensor, Conv2d, Layer};
+use solo_nn::{loss, prune, Conv2d, Layer};
 use solo_tensor::{col2im, exec, im2col, normal, seeded_rng, Im2ColSpec, Tensor};
 
 proptest! {
@@ -97,20 +97,6 @@ proptest! {
             prop_assert_eq!(&dx, dx_ref.as_slice(), "dx diverged at width {}", threads);
             prop_assert_eq!(&dw, dw_acc.as_slice(), "dW diverged at width {}", threads);
             prop_assert_eq!(&dbv, db_acc.as_slice(), "db diverged at width {}", threads);
-        }
-    }
-
-    #[test]
-    fn quantization_error_is_bounded_by_half_step(
-        data in proptest::collection::vec(-100.0f32..100.0, 1..128)
-    ) {
-        let n = data.len();
-        let t = Tensor::from_vec(data, &[n]);
-        let q = QTensor::quantize(&t);
-        let back = q.dequantize();
-        let half_step = q.scale() / 2.0 + 1e-6;
-        for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
-            prop_assert!((a - b).abs() <= half_step, "{a} vs {b} (step {half_step})");
         }
     }
 

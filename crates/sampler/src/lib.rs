@@ -24,9 +24,8 @@
 //! * [`SamplerSpec`] / [`IndexMap`] — the mapping `H(i,j) = [g1, g2]` that
 //!   the SOLO accelerator's sensor controller ships to the SBS-enabled
 //!   camera, plus sampling and the reverse (upsampling) interpolation;
-//! * [`gaze_saliency`] — the gaze-centered Gaussian saliency prior;
-//! * [`content_saliency`] — the gaze-free content saliency used by the LTD
-//!   (learn-to-downsample) baseline;
+//! * [`gaze_saliency`] — the gaze-centered Gaussian saliency prior, and
+//!   [`mix_saliency`], which blends it with ESNet's learned saliency;
 //! * [`average_downsample`] — the AD baseline.
 //!
 //! ```
@@ -50,4 +49,4 @@ mod saliency;
 
 pub use baselines::{average_downsample, uniform_subsample};
 pub use index_map::{IndexMap, SamplerSpec};
-pub use saliency::{content_saliency, gaze_saliency, mix_saliency};
+pub use saliency::{gaze_saliency, mix_saliency};

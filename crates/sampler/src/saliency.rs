@@ -36,50 +36,10 @@ pub fn gaze_saliency(
     Tensor::from_vec(out, &[gh, gw])
 }
 
-/// Content saliency from local gradient magnitude — the gaze-free signal the
-/// LTD (learn-to-downsample) baseline uses.
-///
-/// Computes the mean absolute Sobel response over channels of a `[C, h, w]`
-/// image, normalized to peak 1, plus a small pedestal.
-///
-/// # Panics
-///
-/// Panics if `img` is not rank-3 or smaller than 3×3.
-pub fn content_saliency(img: &Tensor) -> Tensor {
-    assert_eq!(
-        img.shape().ndim(),
-        3,
-        "content_saliency input must be [C,h,w]"
-    );
-    let (c, h, w) = (img.shape().dim(0), img.shape().dim(1), img.shape().dim(2));
-    assert!(h >= 3 && w >= 3, "image must be at least 3×3");
-    let src = img.as_slice();
-    let mut out = vec![0.0f32; h * w];
-    for y in 1..h - 1 {
-        for x in 1..w - 1 {
-            let mut mag = 0.0f32;
-            for ch in 0..c {
-                let at = |yy: usize, xx: usize| src[(ch * h + yy) * w + xx];
-                let gx = (at(y - 1, x + 1) + 2.0 * at(y, x + 1) + at(y + 1, x + 1))
-                    - (at(y - 1, x - 1) + 2.0 * at(y, x - 1) + at(y + 1, x - 1));
-                let gy = (at(y + 1, x - 1) + 2.0 * at(y + 1, x) + at(y + 1, x + 1))
-                    - (at(y - 1, x - 1) + 2.0 * at(y - 1, x) + at(y - 1, x + 1));
-                mag += gx.abs() + gy.abs();
-            }
-            out[y * w + x] = mag / c as f32;
-        }
-    }
-    let peak = out.iter().copied().fold(0.0f32, f32::max).max(1e-6);
-    for v in &mut out {
-        *v = *v / peak + 0.05;
-    }
-    Tensor::from_vec(out, &[h, w])
-}
-
 /// Blends two saliency maps of identical shape: `a·w + b·(1−w)`.
 ///
-/// SOLO's ESNet effectively combines the gaze prior with content saliency of
-/// the preview frame `I_f^d`; this is the fusion primitive.
+/// SOLO's ESNet combines the gaze prior with the learned saliency of the
+/// preview frame `I_f^d`; this is the fusion primitive.
 ///
 /// # Panics
 ///
@@ -107,20 +67,6 @@ mod tests {
     fn floor_keeps_periphery_nonzero() {
         let s = gaze_saliency(8, 8, (0.0, 0.0), 0.05, 0.1);
         assert!(s.min() >= 0.1);
-    }
-
-    #[test]
-    fn content_saliency_highlights_edges() {
-        // Vertical step edge in the middle.
-        let mut img = Tensor::zeros(&[1, 8, 8]);
-        for y in 0..8 {
-            for x in 4..8 {
-                img.set(&[0, y, x], 1.0);
-            }
-        }
-        let s = content_saliency(&img);
-        // Saliency at the edge column exceeds flat regions.
-        assert!(s.at(&[4, 4]) > s.at(&[4, 1]) + 0.5);
     }
 
     #[test]

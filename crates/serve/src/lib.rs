@@ -47,9 +47,7 @@ mod server;
 mod session;
 mod supervisor;
 
-pub use model::{
-    Precision, PushError, PushPolicy, PushReceipt, ServeModel, ServeModelConfig, WeightPush,
-};
+pub use model::{Precision, PushError, ServeModel, ServeModelConfig, WeightPush};
 pub use server::{
     AdmitOutcome, RejectReason, Server, ServerConfig, SupervisedTickReport, TickReport,
 };

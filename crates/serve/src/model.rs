@@ -235,38 +235,6 @@ impl WeightPush {
     }
 }
 
-/// Retry/backoff policy for [`ServeModel::push_with_retry`]. Backoff is
-/// accounted in abstract ticks (doubled per retry), not slept — the
-/// serving loop is simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PushPolicy {
-    /// Attempts before giving up (≥ 1).
-    pub max_attempts: usize,
-    /// Backoff charged after the first failed attempt, doubling per retry.
-    pub backoff_base_ticks: u64,
-}
-
-impl PushPolicy {
-    /// Three attempts, starting at a 1-tick backoff.
-    pub fn paper_default() -> Self {
-        Self {
-            max_attempts: 3,
-            backoff_base_ticks: 1,
-        }
-    }
-}
-
-/// What a successful (possibly retried) push cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PushReceipt {
-    /// Version now being served.
-    pub version: u64,
-    /// Attempts consumed (1 = first try landed).
-    pub attempts: usize,
-    /// Total backoff ticks charged across retries.
-    pub backoff_ticks: u64,
-}
-
 /// The shared serving model (see the module docs).
 #[derive(Debug)]
 pub struct ServeModel {
@@ -407,47 +375,6 @@ impl ServeModel {
         guard.b2 = push.b2.clone();
         guard.readout = push.readout.clone();
         Ok(self.version.fetch_add(1, Ordering::Relaxed) + 1)
-    }
-
-    /// Pushes with retry and exponential backoff: `stage` is called with
-    /// the version the model currently serves and must return a push
-    /// staged against it, so a [`PushError::VersionFence`] loss (or a
-    /// transient transfer corruption) is healed by re-staging. Backoff
-    /// doubles per retry and is accounted in the receipt, not slept.
-    ///
-    /// # Errors
-    ///
-    /// The last attempt's [`PushError`] once `policy.max_attempts` is
-    /// exhausted (a [`PushError::ShapeMismatch`] fails fast — no retry
-    /// can fix it).
-    pub fn push_with_retry(
-        &self,
-        policy: PushPolicy,
-        mut stage: impl FnMut(u64) -> WeightPush,
-    ) -> Result<PushReceipt, PushError> {
-        let attempts_allowed = policy.max_attempts.max(1);
-        let mut backoff_ticks = 0u64;
-        let mut next_backoff = policy.backoff_base_ticks;
-        let mut last = PushError::ShapeMismatch("unreachable: no attempt ran");
-        for attempt in 1..=attempts_allowed {
-            let push = stage(self.version());
-            match self.push(&push) {
-                Ok(version) => {
-                    return Ok(PushReceipt {
-                        version,
-                        attempts: attempt,
-                        backoff_ticks,
-                    });
-                }
-                Err(e @ PushError::ShapeMismatch(_)) => return Err(e),
-                Err(e) => last = e,
-            }
-            if attempt < attempts_allowed {
-                backoff_ticks += next_backoff;
-                next_backoff = next_backoff.saturating_mul(2);
-            }
-        }
-        Err(last)
     }
 
     /// Total number of pack-closure runs across every shared cache — the
@@ -817,50 +744,6 @@ mod tests {
         let after = m.infer_batch(&crops, Precision::F32);
         assert_eq!(before[0].as_slice(), after[0].as_slice());
         assert_eq!(m.pack_events(), packs + 2, "only the bump's repacks");
-    }
-
-    #[test]
-    fn push_with_retry_heals_a_lost_fence_race() {
-        let m = model(41);
-        let mut first = true;
-        let receipt = m.push_with_retry(PushPolicy::paper_default(), |current| {
-            // First attempt races a competing push and stages stale.
-            let base = if first {
-                first = false;
-                current.wrapping_add(7)
-            } else {
-                current
-            };
-            let mut p = staged_push(&m, 42);
-            p.base_version = base;
-            p
-        });
-        match receipt {
-            Ok(r) => {
-                assert_eq!(r.attempts, 2, "fence loss then success");
-                assert_eq!(r.backoff_ticks, 1, "one base backoff charged");
-                assert_eq!(r.version, m.version());
-            }
-            Err(e) => panic!("retry must heal a fence race: {e}"),
-        }
-
-        // A permanently malformed push fails fast, no retries.
-        let res = m.push_with_retry(PushPolicy::paper_default(), |current| {
-            let mut p = staged_push(&m, 43);
-            p.w2 = Tensor::zeros(&[1, 1]);
-            p.checksum = p.computed_checksum();
-            p.base_version = current;
-            p
-        });
-        assert_eq!(res, Err(PushError::ShapeMismatch("w2")));
-
-        // Exhausted attempts surface the last transient error.
-        let res = m.push_with_retry(PushPolicy::paper_default(), |_| {
-            let mut p = staged_push(&m, 44);
-            p.checksum ^= 0xdead_beef;
-            p
-        });
-        assert!(matches!(res, Err(PushError::ChecksumMismatch { .. })));
     }
 
     #[test]

@@ -37,8 +37,9 @@
 //! [`Supervisor`] scores per-session health, and chronically unhealthy
 //! sessions quarantine into a held-state stub (freeing envelope budget
 //! for the queue) until an exponential-backoff probe re-admits them from
-//! a [`SessionCheckpoint`]. Plain ticks honour those quarantines but never
-//! set one. Three more invariants the chaos tests pin:
+//! a [`SessionCheckpoint`](crate::SessionCheckpoint). Plain ticks honour
+//! those quarantines but never set one. Three more invariants the chaos
+//! tests pin:
 //!
 //! * **Fault isolation.** A session's faults are drawn from its own
 //!   injector and its tick is gated against its own slice of the
@@ -70,7 +71,7 @@ use solo_sampler::{gaze_saliency, uniform_subsample, IndexMap};
 use solo_tensor::Tensor;
 
 use crate::model::{Precision, ServeModel};
-use crate::session::{Session, SessionCheckpoint, SessionSpec, SessionStats};
+use crate::session::{Session, SessionSpec, SessionStats};
 use crate::supervisor::{HealthSignal, Supervisor, SupervisorConfig};
 
 /// Gaussian width (as a grid fraction) of the gaze saliency prior.
@@ -859,11 +860,6 @@ impl Server {
             .iter()
             .map(|s| s.last_mask().map(|m| m.as_slice().to_vec()))
             .collect()
-    }
-
-    /// Checkpoints every live session (diagnostics / external restore).
-    pub fn checkpoints(&self) -> Vec<SessionCheckpoint> {
-        self.sessions.iter().map(Session::checkpoint).collect()
     }
 }
 

@@ -6,7 +6,7 @@
 //! bit-identical at any pool width.
 
 use crate::{exec, packed, Tensor};
-use packed::{MR, NR};
+use packed::{panels_len, PanelKind};
 
 /// Multiply–add volume (`m·k·n`) below which [`Tensor::matmul`] (and the
 /// transposed-operand variants) runs the naive reference kernel instead of
@@ -46,7 +46,8 @@ impl Tensor {
         if m * k * n < BLOCKED_MIN_MULADDS {
             return self.matmul_reference(other);
         }
-        let mut b_panels = exec::take_buf_at("gemm.pack_rhs", n.div_ceil(NR).max(1) * k * NR);
+        let b_len = panels_len::<f32>(PanelKind::Rhs, k, n);
+        let mut b_panels = exec::take_buf_at("gemm.pack_rhs", b_len);
         packed::pack_rhs_into(&mut b_panels, other.as_slice(), k, n);
         let out = packed::gemm_pack_lhs(self.as_slice(), &b_panels, m, k, n);
         exec::recycle_buf(b_panels);
@@ -97,7 +98,8 @@ impl Tensor {
             });
             return Tensor::from_vec(out, &[m, n]);
         }
-        let mut b_panels = exec::take_buf_at("gemm.pack_rhs", n.div_ceil(NR).max(1) * k * NR);
+        let b_len = panels_len::<f32>(PanelKind::Rhs, k, n);
+        let mut b_panels = exec::take_buf_at("gemm.pack_rhs", b_len);
         packed::pack_rhs_transposed_into(&mut b_panels, other.as_slice(), n, k);
         let out = packed::gemm_pack_lhs(self.as_slice(), &b_panels, m, k, n);
         exec::recycle_buf(b_panels);
@@ -148,9 +150,11 @@ impl Tensor {
             });
             return Tensor::from_vec(out, &[m, n]);
         }
-        let mut a_panels = exec::take_buf_at("gemm.pack_lhs", m.div_ceil(MR).max(1) * k * MR);
+        let a_len = panels_len::<f32>(PanelKind::Lhs, m, k);
+        let mut a_panels = exec::take_buf_at("gemm.pack_lhs", a_len);
         packed::pack_lhs_transposed_into(&mut a_panels, self.as_slice(), k, m);
-        let mut b_panels = exec::take_buf_at("gemm.pack_rhs", n.div_ceil(NR).max(1) * k * NR);
+        let b_len = panels_len::<f32>(PanelKind::Rhs, k, n);
+        let mut b_panels = exec::take_buf_at("gemm.pack_rhs", b_len);
         packed::pack_rhs_into(&mut b_panels, other.as_slice(), k, n);
         let out = packed::gemm_packed(&a_panels, &b_panels, m, k, n);
         exec::recycle_buf(b_panels);

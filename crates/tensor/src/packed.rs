@@ -189,14 +189,21 @@ struct Panels<E> {
     kind: PanelKind,
 }
 
+/// Elements in the `kind` panels of a `rows × cols` matrix of `E`: whole
+/// `MR`-row (Lhs) or `NR`-column (Rhs) panels, at least one, each
+/// `E::panel_depth` deep. Owned panels and pooled scratch panels both
+/// size by it.
+pub(crate) fn panels_len<E: Lane>(kind: PanelKind, rows: usize, cols: usize) -> usize {
+    match kind {
+        PanelKind::Lhs => rows.div_ceil(MR).max(1) * E::panel_depth(cols) * MR,
+        PanelKind::Rhs => cols.div_ceil(NR).max(1) * E::panel_depth(rows) * NR,
+    }
+}
+
 impl<E: Lane> Panels<E> {
     /// Zeroed `kind` panels for a `rows × cols` matrix, ready for a packer.
     fn zeroed(kind: PanelKind, rows: usize, cols: usize) -> Self {
-        let len = match kind {
-            PanelKind::Lhs => rows.div_ceil(MR).max(1) * E::panel_depth(cols) * MR,
-            PanelKind::Rhs => cols.div_ceil(NR).max(1) * E::panel_depth(rows) * NR,
-        };
-        let data = vec![E::default(); len];
+        let data = vec![E::default(); panels_len::<E>(kind, rows, cols)];
         Self {
             data,
             rows,
@@ -836,7 +843,8 @@ pub(crate) fn gemm_packed(
 /// Packs `a` on the fly (recycling the scratch through the buffer pool)
 /// and runs the blocked GEMM against pre-packed B panels.
 pub(crate) fn gemm_pack_lhs(a: &[f32], b_panels: &[f32], m: usize, k: usize, n: usize) -> Tensor {
-    let mut a_panels = exec::take_buf_at("gemm.pack_lhs", m.div_ceil(MR).max(1) * k * MR);
+    let a_len = panels_len::<f32>(PanelKind::Lhs, m, k);
+    let mut a_panels = exec::take_buf_at("gemm.pack_lhs", a_len);
     pack_lhs_into(&mut a_panels, a, m, k);
     let out = gemm_packed(&a_panels, b_panels, m, k, n);
     exec::recycle_buf(a_panels);
@@ -943,7 +951,8 @@ impl PackedMatrix {
     /// `rhs` is not rank-2, or the inner dimensions differ.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
         let (k, n) = self.0.rhs_dims(rhs, "PackedMatrix::matmul");
-        let mut b_panels = exec::take_buf_at("gemm.pack_rhs", n.div_ceil(NR).max(1) * k * NR);
+        let b_len = panels_len::<f32>(PanelKind::Rhs, k, n);
+        let mut b_panels = exec::take_buf_at("gemm.pack_rhs", b_len);
         pack_rhs_into(&mut b_panels, rhs.as_slice(), k, n);
         let out = gemm_packed(self.panels(), &b_panels, self.rows(), k, n);
         exec::recycle_buf(b_panels);
@@ -966,7 +975,8 @@ impl PackedMatrix {
     /// packed `k` extent differs from `spec.patch_rows()`.
     pub fn matmul_im2col(&self, input: &Tensor, spec: &Im2ColSpec) -> Tensor {
         let (k, n) = self.0.im2col_dims(input, spec, "matmul_im2col");
-        let mut b_panels = exec::take_buf_at("gemm.pack_im2col", n.div_ceil(NR).max(1) * k * NR);
+        let b_len = panels_len::<f32>(PanelKind::Rhs, k, n);
+        let mut b_panels = exec::take_buf_at("gemm.pack_im2col", b_len);
         pack_rhs_im2col_into(&mut b_panels, input.as_slice(), spec);
         let out = gemm_packed(self.panels(), &b_panels, self.rows(), k, n);
         exec::recycle_buf(b_panels);
@@ -1007,7 +1017,8 @@ impl Tensor {
             spec.patch_cols()
         );
         let n = spec.patch_rows();
-        let mut b_panels = exec::take_buf_at("gemm.pack_im2col_t", n.div_ceil(NR).max(1) * l * NR);
+        let b_len = panels_len::<f32>(PanelKind::Rhs, l, n);
+        let mut b_panels = exec::take_buf_at("gemm.pack_im2col_t", b_len);
         pack_rhs_im2col_t_into(&mut b_panels, input.as_slice(), spec);
         let out = gemm_pack_lhs(self.as_slice(), &b_panels, m, l, n);
         exec::recycle_buf(b_panels);
@@ -1228,9 +1239,9 @@ fn rescale_rows(act: f32, w: &[f32]) -> impl Fn(&mut [f32], usize, usize, &[i32]
 /// integer accumulators: `a (m×k) · b (k×n) → [m·n]` in row-major order.
 ///
 /// This is the exact integer product the modeled systolic array executes
-/// (`solo-hw` delegates its functional model here) and the backend behind
-/// `solo-nn`'s `qmatmul`; the f32 entry points rescale the same
-/// accumulators at write-back instead of materializing them.
+/// (`solo-hw` delegates its functional model here); the f32 entry points
+/// rescale the same accumulators at write-back instead of materializing
+/// them.
 ///
 /// # Panics
 ///
@@ -1806,6 +1817,134 @@ mod tests {
         assert_eq!(qout[0].shape().dims(), &[0, 2]);
     }
 
+    /// Values mixed into quantizer operands: max|x| = 127, which makes
+    /// the scale exactly 1, next to the values where the quantizers'
+    /// rounding rules part. ±0.49999997 rounds to ±1 by the truncating
+    /// cast and to 0 by `f32::round`.
+    const EDGES: [f32; 7] = [127.0, 0.499_999_97, -0.499_999_97, 0.5, -0.5, 2.5, -2.5];
+
+    /// `t` with the head of its data overwritten by [`EDGES`], as far as
+    /// they reach.
+    fn edged(t: &Tensor) -> Tensor {
+        let mut v = t.as_slice().to_vec();
+        let len = v.len().min(EDGES.len());
+        v[..len].copy_from_slice(&EDGES[..len]);
+        Tensor::from_vec(v, t.shape().dims())
+    }
+
+    /// `|v − q·scale|`, in f64 so that the f32 subtraction cannot round
+    /// the error down.
+    fn round_trip_error(v: f32, q: i8, scale: f32) -> f64 {
+        (f64::from(v) - f64::from(q) * f64::from(scale)).abs()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `quantize_slice`, the activation quantizer: every element
+        /// reconstructs within half a step, `scale / 2`. The edged slice
+        /// has scale exactly 1, and its ±0.49999997 round to ±1 by the
+        /// truncating cast: an error of 0.50000003, which stays within
+        /// the `1e-6` slack.
+        #[test]
+        fn prop_activation_quantizer_round_trips_within_half_step(
+            (len, seed) in (1usize..64, 0u64..1000)
+        ) {
+            use crate::{normal, seeded_rng};
+            let mut rng = seeded_rng(seed);
+            let plain = normal(&mut rng, &[len], 0.0, 2.0).into_vec();
+            let with_edges: Vec<f32> = EDGES.iter().chain(&plain).copied().collect();
+            let (q, scale) = quantize_slice(&with_edges);
+            prop_assert_eq!((&q[..3], scale), (&[127i8, 1, -1][..], 1.0));
+            for src in [plain, with_edges] {
+                let (q, scale) = quantize_slice(&src);
+                for (&v, &qv) in src.iter().zip(&q) {
+                    let err = round_trip_error(v, qv, scale);
+                    prop_assert!(
+                        err <= f64::from(scale * 0.5 + 1e-6),
+                        "{v} -> {qv} at scale {scale}: error {err}"
+                    );
+                }
+            }
+        }
+
+        /// `quantize_rows`, the per-output-channel weight quantizer: each
+        /// row reconstructs within its own half step, which for a row
+        /// holding a nonzero value is never larger than the per-tensor
+        /// half step. The edged matrix also ends in an all-zero row.
+        #[test]
+        fn prop_weight_quantizer_rows_round_trip_within_their_own_half_step(
+            (rows, cols, seed) in (1usize..8, 1usize..16, 0u64..1000)
+        ) {
+            use crate::{normal, seeded_rng};
+            let mut rng = seeded_rng(seed);
+            let plain = normal(&mut rng, &[rows, cols], 0.0, 1.5);
+            let mut with_edges = edged(&plain).into_vec();
+            if rows > 1 {
+                with_edges[(rows - 1) * cols..].fill(0.0);
+            }
+            for src in [plain.into_vec(), with_edges] {
+                let (q, scales) = quantize_rows(&src, rows, cols);
+                let (_, tensor_scale) = quantize_slice(&src);
+                for (r, &step) in scales.iter().enumerate() {
+                    let row = r * cols..(r + 1) * cols;
+                    if src[row.clone()].iter().any(|&v| v != 0.0) {
+                        prop_assert!(
+                            step <= tensor_scale + 1e-6,
+                            "row {r}: {step} > {tensor_scale}"
+                        );
+                    }
+                    for (&v, &qv) in src[row.clone()].iter().zip(&q[row]) {
+                        let err = round_trip_error(v, qv, step);
+                        prop_assert!(
+                            err <= f64::from(step * 0.5 + 1e-6),
+                            "row {r}: {v} -> {qv} at scale {step}: error {err}"
+                        );
+                    }
+                }
+            }
+        }
+
+        /// `Tensor::qmatmul_packed` against `pack_rhs_transposed`, the
+        /// product `Linear::infer_quant` runs, tracks the f32 product
+        /// within the worst-case rounding of both operands, per element
+        /// `Σ_p (sa/2·|w[j][p]| + sw[j]/2·|a[i][p]| + sa·sw[j]/4)`: `sa` is
+        /// the activation scale and `sw[j]` the weight scale of output
+        /// column `j`. With `a = sa·qa + ea` and `w = sw·qw + ew`, the error
+        /// of each term is `|a·ew + ea·w − ea·ew|`. `n` spans several
+        /// `NR`-column panels.
+        #[test]
+        fn prop_quantized_product_tracks_f32_within_analytic_bound(
+            (m, k, n, seed) in (1usize..10, 1usize..40, 1usize..40, 0u64..1000)
+        ) {
+            use crate::{normal, seeded_rng};
+            let mut rng = seeded_rng(seed);
+            let a = normal(&mut rng, &[m, k], 0.0, 1.0);
+            let w = normal(&mut rng, &[n, k], 0.0, 1.0);
+            for (a, w) in [(edged(&a), edged(&w)), (a, w)] {
+                let got = a.qmatmul_packed(&QPackedMatrix::pack_rhs_transposed(&w));
+                let exact = a.matmul_at(&w);
+                let (_, sa) = quantize_slice(a.as_slice());
+                let (_, sw) = quantize_rows(w.as_slice(), n, k);
+                let (av, wv) = (a.as_slice(), w.as_slice());
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut bound = 0.0f32;
+                        for p in 0..k {
+                            let (x, y) = (av[i * k + p].abs(), wv[j * k + p].abs());
+                            bound += 0.5 * sa * y + 0.5 * sw[j] * x + 0.25 * sa * sw[j];
+                        }
+                        let (g, e) = (got.as_slice()[i * n + j], exact.as_slice()[i * n + j]);
+                        prop_assert!(
+                            (g - e).abs() <= bound,
+                            "({i},{j}): {g} vs {e}, bound {bound}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// FNV-1a over 32-bit words: a digest that, unlike `DefaultHasher`,
     /// is stable across toolchains.
     fn fnv1a(mut h: u64, words: impl IntoIterator<Item = u32>) -> u64 {
@@ -1822,21 +1961,10 @@ mod tests {
     /// folds the output bits into one digest.
     fn gemm_output_digest() -> u64 {
         use crate::{normal, seeded_rng};
-        // Row 0 of each activation and weight holds max|x| = 127 (scale
-        // exactly 1) next to the values where the quantizers' rounding
-        // rules part: ±0.49999997 rounds to ±1 by the truncating cast and
-        // to 0 by `f32::round`.
-        const EDGES: [f32; 7] = [127.0, 0.499_999_97, -0.499_999_97, 0.5, -0.5, 2.5, -2.5];
-        let edged = |t: Tensor| {
-            let dims = t.shape().dims().to_vec();
-            let mut v = t.into_vec();
-            let len = v.len().min(EDGES.len());
-            v[..len].copy_from_slice(&EDGES[..len]);
-            Tensor::from_vec(v, &dims)
-        };
+        // Row 0 of each activation and weight holds the EDGES.
         let mut rng = seeded_rng(2024);
         let mut gen = |dims: &[usize]| {
-            edged(normal(&mut rng, dims, 0.0, 1.0).map(|v| if v.abs() < 0.3 { 0.0 } else { v }))
+            edged(&normal(&mut rng, dims, 0.0, 1.0).map(|v| if v.abs() < 0.3 { 0.0 } else { v }))
         };
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let fold = |h: &mut u64, t: &Tensor| {
