@@ -19,7 +19,7 @@ pub const PIXEL_CHANGE_JND: f32 = 0.1;
 /// The *percentage of changed pixels* between two `[C, H, W]` frames — the
 /// quantity Figure 3 (d) plots and the SSA thresholds with α: a pixel
 /// counts as changed when its mean-over-channels absolute difference
-/// exceeds [`PIXEL_CHANGE_JND`].
+/// exceeds `PIXEL_CHANGE_JND`.
 ///
 /// (A mean-absolute-difference metric would under-react to head turns,
 /// whose per-frame shift moves many pixels each by a modest amount; the

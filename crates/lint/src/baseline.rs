@@ -229,6 +229,7 @@ mod tests {
         Violation {
             file: file.to_string(),
             line: 1,
+            token: 0,
             rule,
             message: String::new(),
         }

@@ -13,7 +13,9 @@
 //! * `Q::f(…)` whose qualifier is no workspace type or module — a generic
 //!   parameter (`E::tile(…)`) or a foreign type — gets the same method-name
 //!   fallback when a workspace method is named `f`;
-//! * `f(…)` — same-file functions first, any workspace `f` otherwise;
+//! * `f(…)` — bound by name: edges to *every* non-test workspace function
+//!   named `f`, so an imported function and a same-file `#[cfg]` twin of
+//!   it are both callees (no `use` resolution needed);
 //! * calls whose name matches nothing in the workspace are *external*
 //!   (std, vendored stubs) and cannot reach workspace code;
 //! * a qualified call whose qualifier IS a workspace type/module but whose
@@ -79,7 +81,6 @@ pub struct CallGraph {
     pub unresolved: Vec<UnresolvedCall>,
 }
 
-/// Rust keywords that can precede `(` without being calls.
 /// Methods the compiler derives (or std blanket-impls) when a type does
 /// not define them: a qualified call to one with no parsed item behind it
 /// is generated code, not an unresolved workspace edge.
@@ -95,6 +96,7 @@ const DERIVED: &[&str] = &[
     "hash",
 ];
 
+/// Rust keywords that can precede `(` without being calls.
 const KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "return", "loop", "else", "in", "as", "move", "break",
     "continue", "unsafe", "let", "mut", "ref", "await", "fn", "impl", "where", "dyn", "pub",
@@ -102,7 +104,8 @@ const KEYWORDS: &[&str] = &[
 
 impl CallGraph {
     /// Builds the graph from parsed files.
-    pub fn build(files: &[FileItems]) -> CallGraph {
+    pub fn build<'a>(files: impl IntoIterator<Item = &'a FileItems>) -> CallGraph {
+        let files: Vec<&FileItems> = files.into_iter().collect();
         let mut fns = Vec::new();
         let mut file_of_fn = Vec::new();
         for (fi, file) in files.iter().enumerate() {
@@ -195,27 +198,16 @@ impl CallGraph {
                             &[]
                         }
                     },
-                    None => {
-                        let same_file: Vec<usize> = by_stem
-                            .get(&(file_stem(&caller.file), site.name.as_str()))
-                            .cloned()
-                            .unwrap_or_default();
-                        if !same_file.is_empty() {
-                            stats.resolved += 1;
-                            edges[ci].extend(same_file);
-                            continue;
+                    None => match by_name.get(site.name.as_str()) {
+                        Some(t) => {
+                            stats.fallback += 1;
+                            t
                         }
-                        match by_name.get(site.name.as_str()) {
-                            Some(t) => {
-                                stats.fallback += 1;
-                                t
-                            }
-                            None => {
-                                stats.external += 1;
-                                &[]
-                            }
+                        None => {
+                            stats.external += 1;
+                            &[]
                         }
-                    }
+                    },
                 };
                 edges[ci].extend_from_slice(targets);
             }
@@ -301,8 +293,9 @@ struct CallSite {
 }
 
 /// Extracts call sites: `name(`, `recv.name(`, `path::name(` — skipping
-/// keywords, macro invocations (`name!(…)`), and uppercase-initial bare
-/// names (tuple-struct/variant constructors).
+/// keywords, macro invocations (`name!(…)` has no `(` right after the
+/// name), and uppercase-initial bare names (tuple-struct/variant
+/// constructors).
 fn call_sites(tokens: &[Token]) -> Vec<CallSite> {
     let mut sites = Vec::new();
     for j in 0..tokens.len() {
@@ -336,9 +329,6 @@ fn call_sites(tokens: &[Token]) -> Vec<CallSite> {
             line: t.line,
         });
     }
-    // Macro invocations: drop sites whose ident is directly followed by
-    // `!` `(` — the scan above requires `(` at j+1, so `name!(…)` never
-    // matched; nothing to do. (Kept as a comment for the next reader.)
     sites
 }
 
@@ -346,12 +336,11 @@ fn call_sites(tokens: &[Token]) -> Vec<CallSite> {
 mod tests {
     use super::*;
     use crate::items::parse_file;
-    use crate::source::SourceFile;
 
     fn graph(files: &[(&str, &str)]) -> CallGraph {
         let parsed: Vec<FileItems> = files
             .iter()
-            .map(|(rel, src)| parse_file(rel, src, &SourceFile::parse(rel, src)))
+            .map(|(rel, src)| parse_file(rel, src))
             .collect();
         CallGraph::build(&parsed)
     }

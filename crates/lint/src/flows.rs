@@ -9,13 +9,15 @@
 //! every `unsafe` token against its SAFETY comment and the module
 //! allow-list.
 //!
-//! All three return **raw** violations — the whole-repo scan applies
-//! waivers centrally so the stale-waiver audit can see which waivers fired.
+//! All three read the token stream and item model and return **raw**
+//! violations — the whole-repo scan applies waivers centrally so the
+//! stale-waiver audit can see which waivers fired.
+
+use std::collections::BTreeMap;
 
 use crate::callgraph::CallGraph;
-use crate::items::{FileItems, FnItem};
-use crate::rules::Violation;
-use crate::source::SourceFile;
+use crate::items::{group_end, let_end, let_name, nesting, statement_start, FileItems, FnItem};
+use crate::rules::{Pattern, Violation, PANICS};
 
 /// Files allowed to contain `unsafe` (S1). Everything else needs the code
 /// rewritten in safe Rust or the allow-list grown deliberately in review.
@@ -65,282 +67,184 @@ pub fn is_hot_root(f: &FnItem) -> bool {
 /// [`CallGraph::reachable_from`]) and flags every panic source in a
 /// reachable function: P1's needle set plus *message-less* asserts
 /// (`assert!(cond)` with no explanation is an undocumented precondition;
-/// `assert!(cond, "why")` is a sanctioned documented one). Lines already
+/// `assert!(cond, "why")` is a sanctioned documented one). Tokens already
 /// waived for P1 or E1 are skipped — those waivers state the
 /// unreachability argument P2 wants.
 pub fn panic_reachability(
     graph: &CallGraph,
     reach: &[Option<usize>],
-    sources: &std::collections::BTreeMap<String, SourceFile>,
+    files: &BTreeMap<String, FileItems>,
 ) -> Vec<Violation> {
+    let panics: Vec<(&str, Pattern)> = PANICS.iter().map(|n| (*n, Pattern::new(n))).collect();
     let mut out = Vec::new();
     for (i, f) in graph.fns.iter().enumerate() {
-        let Some(root) = reach[i] else {
-            continue;
-        };
-        let Some(file) = sources.get(&f.file) else {
+        let (Some(root), Some(file)) = (reach[i], files.get(&f.file)) else {
             continue;
         };
         let root_path = graph.fns[root].path();
-        for lineno in f.line..=f.end_line.min(file.lines.len()) {
-            let line = &file.lines[lineno - 1];
-            if line.in_test {
-                continue;
-            }
-            if file.waived("P1", lineno) || file.waived("E1", lineno) {
-                continue;
-            }
-            for needle in ["panic!", ".unwrap()", ".expect(", "todo!", "unimplemented!"] {
-                if let Some(col) = line.code.find(needle) {
-                    if needle == "panic!" && line.code[..col].ends_with("should_") {
-                        continue;
-                    }
-                    out.push(p2(f, lineno, needle.trim_start_matches('.'), &root_path));
+        let tokens = &file.tokens;
+        let (lo, hi) = f.span();
+        let skip = |j: usize| {
+            file.in_test(j) || file.waiver("P1", j).is_some() || file.waiver("E1", j).is_some()
+        };
+        for (needle, pat) in &panics {
+            for j in (lo..hi)
+                .filter(|&j| pat.at(tokens, j))
+                .map(|j| pat.anchor(j))
+            {
+                if !skip(j) {
+                    out.push(p2(file, j, f, needle.trim_start_matches('.'), &root_path));
                 }
             }
-            for mac in ["assert!", "assert_eq!", "assert_ne!"] {
-                let min_args = if mac == "assert!" { 2 } else { 3 };
-                for (col, _) in line.code.match_indices(mac) {
-                    // `debug_assert!` never aborts a release frame.
-                    if line.code[..col]
-                        .chars()
-                        .next_back()
-                        .is_some_and(|c| c.is_alphanumeric() || c == '_')
-                    {
-                        continue;
-                    }
-                    let open = col + mac.len();
-                    if !line.code[open..].trim_start().starts_with('(') {
-                        continue;
-                    }
-                    if !assert_is_messaged(file, lineno - 1, open, min_args) {
-                        out.push(p2(f, lineno, &format!("message-less {mac}(…)"), &root_path));
-                    }
-                }
+        }
+        for j in (lo..hi).filter(|&j| !skip(j)) {
+            let min_args = match tokens[j].text.as_str() {
+                "assert" => 2,
+                "assert_eq" | "assert_ne" => 3,
+                _ => continue,
+            };
+            if !Pattern::new("!(").at(tokens, j + 1) {
+                continue;
+            }
+            // The arguments are the group's top-level commas, plus one.
+            let mut depth = 0;
+            let args = 1
+                + (j + 2..group_end(tokens, j + 2))
+                    .filter(|&k| {
+                        depth += nesting(&tokens[k]);
+                        depth == 1 && tokens[k].is_punct(',')
+                    })
+                    .count();
+            if args < min_args {
+                let what = format!("message-less {}!(…)", tokens[j].text);
+                out.push(p2(file, j, f, &what, &root_path));
             }
         }
     }
     out
 }
 
-fn p2(f: &FnItem, lineno: usize, what: &str, root: &str) -> Violation {
-    Violation {
-        file: f.file.clone(),
-        line: lineno,
-        rule: "P2",
-        message: format!(
+fn p2(file: &FileItems, i: usize, f: &FnItem, what: &str, root: &str) -> Violation {
+    Violation::at(
+        file,
+        i,
+        "P2",
+        format!(
             "`{what}` in `{}` is reachable from hot-path root `{root}`: return an error, \
              add a message documenting the precondition, or waive",
             f.path()
         ),
-    }
+    )
 }
 
-/// Whether the assert whose argument list opens at `(line_idx, col)` has at
-/// least `min_args` top-level arguments (condition + message). Spans lines;
-/// literal contents are already blanked, so commas inside strings don't
-/// count.
-fn assert_is_messaged(file: &SourceFile, line_idx: usize, col: usize, min_args: usize) -> bool {
-    let mut depth = 0i32;
-    let mut args = 1usize;
-    let mut saw_open = false;
-    for (li, line) in file.lines.iter().enumerate().skip(line_idx).take(40) {
-        let code: &str = if li == line_idx {
-            &line.code[col..]
-        } else {
-            &line.code
-        };
-        for c in code.chars() {
-            match c {
-                '(' | '[' | '{' => {
-                    depth += 1;
-                    saw_open = true;
-                }
-                ')' | ']' | '}' => {
-                    depth -= 1;
-                    if saw_open && depth == 0 {
-                        return args >= min_args;
-                    }
-                }
-                ',' if depth == 1 => args += 1,
-                _ => {}
-            }
-        }
-    }
-    // Unterminated scan: treat as messaged rather than guess.
-    true
-}
-
-/// X1 — scratch lifecycle. Every `take_buf`/`take_buf_at` handout must be
-/// a `let` binding whose buffer, within the enclosing function's span,
-/// either returns to the pool via `recycle_buf(…)` or transfers custody
-/// into a tensor via `from_vec(…)` (the pool reclaims it when the tensor's
-/// storage is recycled). Anything else — including handouts that escape by
-/// `return` — needs a waiver naming who recycles.
-pub fn scratch_lifecycle(file: &SourceFile, items: &FileItems) -> Vec<Violation> {
+/// X1 — scratch lifecycle. Every `take_buf`/`take_buf_at` handout must sit
+/// in a `let` statement binding a name, and within the enclosing
+/// function's span some statement must both mention that name and either
+/// return it to the pool via `recycle_buf` or transfer custody into a
+/// tensor via `from_vec(…)` (the pool reclaims it when the tensor's
+/// storage is recycled). Anything else — including handouts that escape
+/// by `return` — needs a waiver naming who recycles.
+pub fn scratch_lifecycle(file: &FileItems) -> Vec<Violation> {
+    let tokens = &file.tokens;
     let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
+    for i in 0..tokens.len() {
+        let handout = (tokens[i].is_ident("take_buf") || tokens[i].is_ident("take_buf_at"))
+            && tokens.get(i + 1).is_some_and(|t| t.is_punct('('));
+        // The definition site in exec.rs is not a handout.
+        if !handout || file.in_test(i) || (i > 0 && tokens[i - 1].is_ident("fn")) {
             continue;
         }
-        let Some(col) = find_take(&line.code) else {
-            continue;
-        };
-        // The definition site in exec.rs, not a handout.
-        if line.code[..col].trim_end().ends_with("fn") {
-            continue;
-        }
-        let lineno = idx + 1;
-        let Some(name) = binding_name(&line.code) else {
-            out.push(Violation {
-                file: file.rel.clone(),
-                line: lineno,
-                rule: "X1",
-                message: "`take_buf` handout is not a `let` binding: bind the buffer so its \
-                          return to the pool is trackable, or waive"
+        // The innermost `let` statement holding the handout.
+        let name = (0..i)
+            .rev()
+            .find(|&k| tokens[k].is_ident("let") && let_end(tokens, k) > i)
+            .and_then(|k| let_name(tokens, k));
+        let Some(name) = name else {
+            out.push(Violation::at(
+                file,
+                i,
+                "X1",
+                "`take_buf` handout is not a `let` binding: bind the buffer so its \
+                 return to the pool is trackable, or waive"
                     .to_string(),
-            });
+            ));
             continue;
         };
-        let (lo, hi) = enclosing_span(items, lineno, file.lines.len());
-        let satisfied = (lo..=hi).any(|l| {
-            let code = &file.lines[l - 1].code;
-            (code.contains("recycle_buf") || code.contains("from_vec(")) && mentions(code, &name)
-        });
+        let (lo, hi) = file.enclosing_fn(i).map_or((0, tokens.len()), FnItem::span);
+        // Statements split at `;`, `{` and `}`.
+        let satisfied = tokens[lo..hi]
+            .split(|t| t.is_punct(';') || t.is_punct('{') || t.is_punct('}'))
+            .any(|stmt| {
+                let returns = stmt.iter().enumerate().any(|(k, t)| {
+                    t.is_ident("recycle_buf")
+                        || (t.is_ident("from_vec")
+                            && stmt.get(k + 1).is_some_and(|n| n.is_punct('(')))
+                });
+                returns && stmt.iter().any(|t| t.is_ident(name))
+            });
         if !satisfied {
-            out.push(Violation {
-                file: file.rel.clone(),
-                line: lineno,
-                rule: "X1",
-                message: format!(
+            out.push(Violation::at(
+                file,
+                i,
+                "X1",
+                format!(
                     "scratch buffer `{name}` from `take_buf` never reaches `recycle_buf` or \
                      `from_vec` in this function: leaked handouts show up as \
                      `ExecStats::live_bytes` growth"
                 ),
-            });
+            ));
         }
     }
     out
-}
-
-/// Byte offset of a `take_buf(`/`take_buf_at(` call on the line, if any.
-fn find_take(code: &str) -> Option<usize> {
-    for (pos, _) in code.match_indices("take_buf") {
-        let before_ok = !code[..pos]
-            .chars()
-            .next_back()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after = &code[pos + "take_buf".len()..];
-        if before_ok && (after.starts_with('(') || after.starts_with("_at(")) {
-            return Some(pos);
-        }
-    }
-    None
-}
-
-/// The name bound by a `let [mut] NAME = …` line.
-pub(crate) fn binding_name(code: &str) -> Option<String> {
-    let rest = code.trim_start().strip_prefix("let ")?;
-    let rest = rest.trim_start().strip_prefix("mut ").unwrap_or(rest);
-    let name: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    (!name.is_empty()).then_some(name)
-}
-
-/// Whether `code` mentions `name` as a standalone identifier.
-pub(crate) fn mentions(code: &str, name: &str) -> bool {
-    for (pos, _) in code.match_indices(name) {
-        let before_ok = !code[..pos]
-            .chars()
-            .next_back()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after_ok = !code[pos + name.len()..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return true;
-        }
-    }
-    false
-}
-
-/// The line span of the innermost function containing `lineno` (falls back
-/// to the whole file when the line sits outside every parsed item, e.g. a
-/// macro body the item parser skipped).
-fn enclosing_span(items: &FileItems, lineno: usize, file_len: usize) -> (usize, usize) {
-    items
-        .fns
-        .iter()
-        .filter(|f| f.line <= lineno && lineno <= f.end_line)
-        .map(|f| (f.line, f.end_line))
-        .max_by_key(|(lo, _)| *lo)
-        .unwrap_or((1, file_len))
 }
 
 /// S1 — unsafe audit. Every `unsafe` token must sit in an allow-listed
 /// file *and* carry a SAFETY justification: a comment containing "SAFETY"
-/// or "# Safety" on the same line or in the contiguous doc/attribute block
-/// above it.
-pub fn unsafe_audit(file: &SourceFile) -> Vec<Violation> {
+/// or "# Safety" before the `unsafe` token within its statement or item,
+/// attributes and doc comments included.
+pub fn unsafe_audit(file: &FileItems) -> Vec<Violation> {
     let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test || !mentions(&line.code, "unsafe") {
+    for i in (0..file.tokens.len()).filter(|&i| file.tokens[i].is_ident("unsafe")) {
+        if file.in_test(i) {
             continue;
         }
-        let lineno = idx + 1;
-        if !UNSAFE_ALLOWED.contains(&file.rel.as_str()) {
-            out.push(Violation {
-                file: file.rel.clone(),
-                line: lineno,
-                rule: "S1",
-                message: format!(
+        if !UNSAFE_ALLOWED.contains(&file.file.as_str()) {
+            out.push(Violation::at(
+                file,
+                i,
+                "S1",
+                format!(
                     "`unsafe` outside the allow-listed modules ({}): rewrite in safe Rust \
                      or grow the allow-list in crates/lint/src/flows.rs deliberately",
                     UNSAFE_ALLOWED.join(", ")
                 ),
-            });
-            continue;
-        }
-        if !has_safety_comment(file, idx) {
-            out.push(Violation {
-                file: file.rel.clone(),
-                line: lineno,
-                rule: "S1",
-                message: "`unsafe` without a SAFETY comment: state the proof obligations \
-                          being discharged directly above the block"
+            ));
+        } else if !has_safety_comment(file, i) {
+            out.push(Violation::at(
+                file,
+                i,
+                "S1",
+                "`unsafe` without a SAFETY comment: state the proof obligations \
+                 being discharged directly above the block"
                     .to_string(),
-            });
+            ));
         }
     }
     out
 }
 
-/// Whether a comment containing "safety" (any case) sits on line `idx` or
-/// in the contiguous comment/attribute block above it.
-fn has_safety_comment(file: &SourceFile, idx: usize) -> bool {
-    let safety = |l: &crate::source::Line| l.comment.to_ascii_lowercase().contains("safety");
-    if safety(&file.lines[idx]) {
-        return true;
-    }
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let line = &file.lines[i];
-        let code = line.code.trim();
-        let is_comment = code.is_empty() && !line.comment.trim().is_empty();
-        let is_attr = code.starts_with("#[") || code.starts_with("#![");
-        if !is_comment && !is_attr {
-            return false;
-        }
-        if safety(line) {
-            return true;
-        }
-    }
-    false
+/// Whether a comment containing "safety" (any case) precedes the `unsafe`
+/// at token `u` within its statement: the comments from the statement's
+/// first token (attributes included) up to `u`, less the trailing comment
+/// of the statement before.
+fn has_safety_comment(file: &FileItems, u: usize) -> bool {
+    let start = statement_start(&file.tokens, u);
+    file.comments.iter().any(|c| {
+        start <= c.next
+            && c.next <= u
+            && !(c.trailing && c.next == start)
+            && c.text.to_ascii_lowercase().contains("safety")
+    })
 }
 
 #[cfg(test)]
@@ -348,15 +252,13 @@ mod tests {
     use super::*;
     use crate::items::parse_file;
 
-    fn file(rel: &str, src: &str) -> (SourceFile, FileItems) {
-        let sf = SourceFile::parse(rel, src);
-        let items = parse_file(rel, src, &sf);
-        (sf, items)
+    fn file(rel: &str, src: &str) -> FileItems {
+        parse_file(rel, src)
     }
 
     #[test]
     fn x1_flags_leaks_and_accepts_recycle_or_custody() {
-        let (sf, items) = file(
+        let sf = file(
             "crates/nn/src/x.rs",
             "fn leaky(n: usize) {\n\
              \x20   let mut buf = exec::take_buf(n);\n\
@@ -371,7 +273,7 @@ mod tests {
              \x20   Tensor::from_vec(vec![n], out)\n\
              }\n",
         );
-        let v = scratch_lifecycle(&sf, &items);
+        let v = scratch_lifecycle(&sf);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 2);
         assert!(v[0].message.contains("buf"));
@@ -381,7 +283,7 @@ mod tests {
     fn x1_scope_is_the_enclosing_fn_not_the_file() {
         // `buf` recycled in a *different* function does not satisfy the
         // handout in `leaky`.
-        let (sf, items) = file(
+        let sf = file(
             "crates/nn/src/x.rs",
             "fn leaky(n: usize) {\n\
              \x20   let buf = exec::take_buf(n);\n\
@@ -390,13 +292,13 @@ mod tests {
              \x20   exec::recycle_buf(buf);\n\
              }\n",
         );
-        let v = scratch_lifecycle(&sf, &items);
+        let v = scratch_lifecycle(&sf);
         assert_eq!(v.len(), 1, "{v:?}");
     }
 
     #[test]
     fn x1_skips_the_definition_and_unbound_handouts_are_flagged() {
-        let (sf, items) = file(
+        let sf = file(
             "crates/tensor/src/exec.rs",
             "pub fn take_buf(len: usize) -> Vec<f32> {\n\
              \x20   Vec::new()\n\
@@ -405,7 +307,7 @@ mod tests {
              \x20   consume(take_buf(n));\n\
              }\n",
         );
-        let v = scratch_lifecycle(&sf, &items);
+        let v = scratch_lifecycle(&sf);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 5);
         assert!(v[0].message.contains("not a `let` binding"));
@@ -413,7 +315,7 @@ mod tests {
 
     #[test]
     fn s1_requires_allow_list_and_safety_comment() {
-        let (outside, _) = file(
+        let outside = file(
             "crates/core/src/x.rs",
             "fn f() {\n    unsafe { danger() }\n}\n",
         );
@@ -421,7 +323,7 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("allow-listed"));
 
-        let (bare, _) = file(
+        let bare = file(
             "crates/tensor/src/packed.rs",
             "fn f() {\n    unsafe { danger() }\n}\n",
         );
@@ -429,7 +331,7 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("SAFETY"));
 
-        let (documented, _) = file(
+        let documented = file(
             "crates/tensor/src/packed.rs",
             "fn f() {\n\
              \x20   // SAFETY: pointers derived from live slices above.\n\
@@ -441,7 +343,7 @@ mod tests {
 
         // The SIMD micro-kernel module is on the allow-list too — same
         // SAFETY-comment discipline applies.
-        let (simd, _) = file(
+        let simd = file(
             "crates/tensor/src/packed/simd.rs",
             "fn f() {\n\
              \x20   // SAFETY: caller checked avx2 via level().\n\
@@ -450,7 +352,7 @@ mod tests {
              }\n",
         );
         assert!(unsafe_audit(&simd).is_empty());
-        let (simd_bare, _) = file(
+        let simd_bare = file(
             "crates/tensor/src/packed/simd.rs",
             "fn f() {\n    unsafe { danger() }\n}\n",
         );
@@ -461,7 +363,7 @@ mod tests {
 
     #[test]
     fn s1_accepts_doc_safety_sections_and_skips_attr_mentions() {
-        let (doc, _) = file(
+        let doc = file(
             "crates/tensor/src/packed.rs",
             "/// Kernel.\n\
              ///\n\
@@ -473,7 +375,7 @@ mod tests {
         );
         assert!(unsafe_audit(&doc).is_empty());
         // `unsafe_code` inside attributes is not the `unsafe` keyword.
-        let (attr, _) = file("crates/core/src/x.rs", "#![deny(unsafe_code)]\nfn f() {}\n");
+        let attr = file("crates/core/src/x.rs", "#![deny(unsafe_code)]\nfn f() {}\n");
         assert!(unsafe_audit(&attr).is_empty());
     }
 
@@ -485,6 +387,7 @@ mod tests {
             self_ty: ty.map(String::from),
             line: 1,
             end_line: 1,
+            sig: (0, 0),
             body: (0, 0),
             is_test: false,
         };

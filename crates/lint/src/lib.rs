@@ -2,13 +2,15 @@
 //!
 //! In-repo static analysis for invariants the compiler can't check.
 //!
-//! The analyzer is a pipeline of plain data structures: a line-oriented
-//! comment/string strip ([`source`]) for the line-scoped rules, a token
-//! [`lexer`] over the raw text, an item model ([`items`]) recovering
-//! functions and their `impl` self-types, and an over-approximate
-//! workspace call graph ([`callgraph`]) the cross-procedural rules walk.
+//! The analyzer is a three-layer pipeline of plain data structures, and
+//! every rule reads it, never raw lines: a token [`lexer`] (code tokens
+//! with byte spans, comments apart), an item model ([`items`]) recovering
+//! functions, their `impl` self-types, test regions and the statements
+//! each waiver covers, and an over-approximate workspace call graph
+//! ([`callgraph`]) the cross-procedural rules walk. A verdict therefore
+//! does not depend on where a line breaks.
 //!
-//! Line-scoped rules ([`rules`]):
+//! Per-file rules ([`rules`]):
 //!
 //! * **D1 — determinism**: library code takes no ambient entropy, wall
 //!   clocks, or environment reads; all RNG flows through explicit seeds.
@@ -46,6 +48,8 @@
 //! the baseline can only shrink. Waive a true positive inline with
 //! `// lint:allow(RULE): reason` (`# lint:allow(W1): reason` in TOML);
 //! the reason is the justification and A1 deletes it when it goes stale.
+//! A waiver on a line of its own covers the statement after it; one after
+//! code covers the statement that code ends (see [`items::Waiver`]).
 //!
 //! Run as `cargo run -p solo-lint -- check` (`--graph` for call-graph
 //! statistics, `explain RULE` for the rule registry); the same scan runs
@@ -58,20 +62,19 @@ pub mod items;
 pub mod lexer;
 pub mod manifests;
 pub mod rules;
-pub mod source;
 
 pub use baseline::Baseline;
 pub use rules::{classify, Violation};
-pub use source::SourceFile;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
 use callgraph::CallGraph;
+use items::FileItems;
 use rules::FileKind;
 
-/// Source roots scanned for the token rules, relative to the repo root.
+/// Source roots scanned for the Rust rules, relative to the repo root.
 const SCAN_ROOTS: &[&str] = &["crates", "src", "tests"];
 
 /// Rule ids whose waivers the rust-side stale audit (A1) tracks. W1 is
@@ -186,6 +189,9 @@ pub struct Scan {
     /// Every violation found (waivers applied, stale-waiver audit
     /// appended), sorted by file, line, and rule.
     pub violations: Vec<Violation>,
+    /// Every waiver that suppressed a violation, as `(file, 1-indexed line
+    /// of the waiver comment, rule)`.
+    pub used_waivers: BTreeSet<(String, usize, &'static str)>,
     /// Call-graph statistics for `--graph`.
     pub graph: GraphSummary,
 }
@@ -200,20 +206,19 @@ pub fn scan_repo(root: &Path) -> io::Result<Vec<Violation>> {
     Ok(scan_repo_full(root)?.violations)
 }
 
-/// The full scan: per-file token rules, the flow rules over the workspace
-/// call graph, manifest hygiene, central waiver filtering, and the
-/// stale-waiver audit.
+/// The full scan: per-file rules, the flow rules over the workspace call
+/// graph, manifest hygiene, central waiver filtering, and the stale-waiver
+/// audit.
 ///
 /// # Errors
 ///
 /// Fails only on I/O errors walking the tree; unreadable UTF-8 is skipped.
 pub fn scan_repo_full(root: &Path) -> io::Result<Scan> {
     let mut raw = Vec::new();
-    let mut sources: BTreeMap<String, SourceFile> = BTreeMap::new();
+    let mut files: BTreeMap<String, FileItems> = BTreeMap::new();
     let mut kinds: BTreeMap<String, FileKind> = BTreeMap::new();
-    let mut parsed: Vec<items::FileItems> = Vec::new();
 
-    // Per-file token + flow rules over the Rust sources (raw: waivers are
+    // Per-file and flow rules over the Rust sources (raw: waivers are
     // applied centrally below so their usage can be tracked).
     for rel in rust_sources(root)? {
         let Some(kind) = rules::classify(&rel) else {
@@ -222,25 +227,26 @@ pub fn scan_repo_full(root: &Path) -> io::Result<Scan> {
         let Ok(text) = std::fs::read_to_string(root.join(&rel)) else {
             continue;
         };
-        let file = SourceFile::parse(&rel, &text);
+        let file = items::parse_file(&rel, &text);
         raw.extend(rules::check_file_raw(&file, kind));
         if matches!(kind, FileKind::Library | FileKind::Bench) {
-            let file_items = items::parse_file(&rel, &text, &file);
-            raw.extend(flows::scratch_lifecycle(&file, &file_items));
+            raw.extend(flows::scratch_lifecycle(&file));
             raw.extend(flows::unsafe_audit(&file));
-            if kind == FileKind::Library {
-                parsed.push(file_items);
-            }
         }
         kinds.insert(rel.clone(), kind);
-        sources.insert(rel, file);
+        files.insert(rel, file);
     }
 
     // P2 over the workspace call graph (library functions only).
-    let graph = CallGraph::build(&parsed);
+    let graph = CallGraph::build(
+        files
+            .iter()
+            .filter(|(rel, _)| kinds.get(*rel) == Some(&FileKind::Library))
+            .map(|(_, file)| file),
+    );
     let roots = graph.roots(flows::is_hot_root);
     let reach = graph.reachable_from(&roots);
-    raw.extend(flows::panic_reachability(&graph, &reach, &sources));
+    raw.extend(flows::panic_reachability(&graph, &reach, &files));
     let summary = GraphSummary {
         functions: graph.fns.iter().filter(|f| !f.is_test).count(),
         edges: graph.edge_count(),
@@ -250,48 +256,44 @@ pub fn scan_repo_full(root: &Path) -> io::Result<Scan> {
         unresolved: graph.unresolved.clone(),
     };
 
-    // Central waiver filtering, tracking which declared waivers fired.
+    // Central waiver filtering, tracking which declared waivers fired. P2
+    // also honours P1/E1 waivers (the flow rule skips the tokens they
+    // cover), so those do double duty without extra tracking.
     let mut used: BTreeSet<(String, usize, &'static str)> = BTreeSet::new();
     let mut violations: Vec<Violation> = Vec::new();
     for v in raw {
-        match sources
-            .get(&v.file)
-            .and_then(|f| f.waiver_line(v.rule, v.line))
-        {
-            Some(waiver_line) => {
-                used.insert((v.file.clone(), waiver_line, v.rule));
+        match files.get(&v.file).and_then(|f| f.waiver(v.rule, v.token)) {
+            Some(w) => {
+                used.insert((v.file.clone(), w.line, v.rule));
             }
             None => violations.push(v),
         }
     }
-    // P2 accepts P1/E1 waivers as its unreachability argument (the flow
-    // rule skips those lines), so a P1/E1 waiver used by its own rule is
-    // doing double duty — nothing extra to track here.
 
     // Stale-waiver audit: every declared waiver for an audited rule must
     // still suppress something.
-    for (rel, file) in &sources {
+    for (rel, file) in &files {
         if !matches!(kinds.get(rel), Some(FileKind::Library | FileKind::Bench)) {
             continue;
         }
-        for (line, rule) in file.declared_waivers() {
-            let Some(&rule) = AUDITED_RULES.iter().find(|r| **r == rule) else {
+        for w in &file.waivers {
+            let Some(&rule) = AUDITED_RULES.iter().find(|r| **r == w.rule) else {
                 continue;
             };
-            if file.lines[line - 1].in_test {
+            let comment = &file.comments[w.comment];
+            if file.comment_in_test(comment) || used.contains(&(rel.clone(), w.line, rule)) {
                 continue;
             }
-            if !used.contains(&(rel.clone(), line, rule)) {
-                violations.push(Violation {
-                    file: rel.clone(),
-                    line,
-                    rule: "A1",
-                    message: format!(
-                        "stale waiver: `lint:allow({rule})` here no longer suppresses any \
-                         {rule} violation — delete it so the ratchet stays honest"
-                    ),
-                });
-            }
+            violations.push(Violation {
+                file: rel.clone(),
+                line: w.line,
+                token: comment.next,
+                rule: "A1",
+                message: format!(
+                    "stale waiver: `lint:allow({rule})` here no longer suppresses any \
+                     {rule} violation — delete it so the ratchet stays honest"
+                ),
+            });
         }
     }
 
@@ -317,6 +319,7 @@ pub fn scan_repo_full(root: &Path) -> io::Result<Scan> {
     violations.sort();
     Ok(Scan {
         violations,
+        used_waivers: used,
         graph: summary,
     })
 }
@@ -397,7 +400,7 @@ pub fn rust_sources(root: &Path) -> io::Result<Vec<String>> {
 /// All `.rs` files in one crate's directory tree (for W1 reference
 /// search). For the workspace root (`crate_dir` empty), scans `src`,
 /// `tests`, `examples`, and `benches` only — not the member crates.
-fn crate_sources(root: &Path, crate_dir: &Path) -> io::Result<Vec<SourceFile>> {
+fn crate_sources(root: &Path, crate_dir: &Path) -> io::Result<Vec<FileItems>> {
     let mut sources = Vec::new();
     let subdirs: &[&str] = &["src", "tests", "examples", "benches"];
     for sub in subdirs {
@@ -406,7 +409,7 @@ fn crate_sources(root: &Path, crate_dir: &Path) -> io::Result<Vec<SourceFile>> {
             walk(&dir, &mut |p| {
                 if p.extension().is_some_and(|e| e == "rs") {
                     if let Ok(text) = std::fs::read_to_string(p) {
-                        sources.push(SourceFile::parse(&relative(root, p), &text));
+                        sources.push(items::parse_file(&relative(root, p), &text));
                     }
                 }
             })?;

@@ -11,8 +11,8 @@
 
 use std::path::Path;
 
-use crate::rules::Violation;
-use crate::source::SourceFile;
+use crate::items::{let_end, FileItems};
+use crate::rules::{Pattern, Violation};
 
 /// A dependency declaration found in a manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,53 +87,36 @@ fn is_w1_waiver(comment: &str) -> bool {
     rest.starts_with(':') && !rest[1..].trim().is_empty()
 }
 
-/// Whether any source line references the crate `name` (dashes already
-/// mapped to underscores by the caller): `name::…`, `use name…`, or
-/// `extern crate name`.
-pub fn references_crate(files: &[SourceFile], ident: &str) -> bool {
-    files
-        .iter()
-        .any(|f| f.lines.iter().any(|l| line_references(&l.code, ident)))
-}
-
-fn line_references(code: &str, ident: &str) -> bool {
-    for (pos, _) in code.match_indices(ident) {
-        let before_ok = !code[..pos]
-            .chars()
-            .last()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_' || c == ':');
-        let after = &code[pos + ident.len()..];
-        let after_first = after.chars().next();
-        let boundary_ok = !after_first.is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if !(before_ok && boundary_ok) {
-            continue;
-        }
-        // Path reference `ident::…`.
-        if after.trim_start().starts_with("::") {
-            return true;
-        }
-        // Import forms: `use ident;`, `use ident as x;`, `pub use ident…`,
-        // `extern crate ident`.
-        let head = code.trim_start();
-        if (head.starts_with("use ")
-            || head.starts_with("pub use ")
-            || head.contains("extern crate "))
-            && matches!(after_first, None | Some(';' | ',' | ' ' | '}' | ':'))
-        {
-            return true;
-        }
-    }
-    false
+/// Whether any source file references the crate `ident` (dashes already
+/// mapped to underscores by the caller): a path `ident::…`, or the name
+/// inside a `use` declaration or after `extern crate`.
+pub fn references_crate(files: &[FileItems], ident: &str) -> bool {
+    let path = Pattern::new("::");
+    files.iter().any(|f| {
+        let t = &f.tokens;
+        // Token ranges of the `use` declarations.
+        let uses: Vec<(usize, usize)> = (0..t.len())
+            .filter(|&i| t[i].is_ident("use"))
+            .map(|i| (i, let_end(t, i)))
+            .collect();
+        (0..t.len()).any(|i| {
+            if !t[i].is_ident(ident) || (i > 0 && t[i - 1].is_punct(':')) {
+                return false;
+            }
+            let imported = uses.iter().any(|&(lo, hi)| lo < i && i < hi)
+                || (i >= 2 && t[i - 2].is_ident("extern") && t[i - 1].is_ident("crate"));
+            path.at(t, i + 1)
+                || (imported
+                    && t.get(i + 1)
+                        .is_none_or(|n| [";", ",", "}", ":", "as"].contains(&n.text.as_str())))
+        })
+    })
 }
 
 /// Runs W1 over one crate: `manifest_rel` is the repo-relative manifest
-/// path, `manifest` its text, and `sources` every preprocessed `.rs` file
-/// in the crate's directory tree.
-pub fn check_manifest(
-    manifest_rel: &str,
-    manifest: &str,
-    sources: &[SourceFile],
-) -> Vec<Violation> {
+/// path, `manifest` its text, and `sources` every parsed `.rs` file in the
+/// crate's directory tree.
+pub fn check_manifest(manifest_rel: &str, manifest: &str, sources: &[FileItems]) -> Vec<Violation> {
     let mut violations = Vec::new();
     for dep in parse_deps(manifest) {
         if dep.waived {
@@ -144,6 +127,7 @@ pub fn check_manifest(
             violations.push(Violation {
                 file: manifest_rel.to_string(),
                 line: dep.line,
+                token: 0,
                 rule: "W1",
                 message: format!(
                     "dependency `{}` is declared but never referenced in this crate's sources",
@@ -158,7 +142,7 @@ pub fn check_manifest(
 /// The manifest side of the stale-waiver audit (A1): a dependency carrying
 /// a W1 waiver that the crate's sources *do* reference no longer needs the
 /// waiver — the declaration would pass W1 on its own.
-pub fn stale_waivers(manifest_rel: &str, manifest: &str, sources: &[SourceFile]) -> Vec<Violation> {
+pub fn stale_waivers(manifest_rel: &str, manifest: &str, sources: &[FileItems]) -> Vec<Violation> {
     let mut violations = Vec::new();
     for dep in parse_deps(manifest) {
         let ident = dep.name.replace('-', "_");
@@ -166,6 +150,7 @@ pub fn stale_waivers(manifest_rel: &str, manifest: &str, sources: &[SourceFile])
             violations.push(Violation {
                 file: manifest_rel.to_string(),
                 line: dep.line,
+                token: 0,
                 rule: "A1",
                 message: format!(
                     "stale W1 waiver: `{}` is referenced in this crate's sources, so the \
@@ -196,6 +181,7 @@ pub fn manifest_paths(root: &Path) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::items::parse_file;
 
     const MANIFEST: &str = "\
 [package]
@@ -221,7 +207,7 @@ proptest = { path = \"../proptest\" }
 
     #[test]
     fn flags_unreferenced_deps_only() {
-        let src = SourceFile::parse(
+        let src = parse_file(
             "crates/demo/src/lib.rs",
             "use serde::{Serialize};\nfn t() { let x = proptest::prelude::any::<bool>(); }",
         );
@@ -235,9 +221,9 @@ proptest = { path = \"../proptest\" }
     #[test]
     fn ident_matching_is_word_bounded() {
         // `rand_chacha::` must not count as a reference to `rand`.
-        let src = SourceFile::parse("crates/demo/src/lib.rs", "use rand_chacha::ChaCha8Rng;");
+        let src = parse_file("crates/demo/src/lib.rs", "use rand_chacha::ChaCha8Rng;");
         assert!(!references_crate(&[src], "rand"));
-        let src = SourceFile::parse("crates/demo/src/lib.rs", "use rand::Rng;");
+        let src = parse_file("crates/demo/src/lib.rs", "use rand::Rng;");
         assert!(references_crate(&[src], "rand"));
     }
 }

@@ -14,16 +14,18 @@
 //! | `W1` | every `Cargo.toml`              | declared deps must be referenced |
 //! | `A1` | library + bench code            | declared waivers must still suppress something |
 //!
-//! `D1`/`U1`/`P1`/`C1` are line/token rules over [`SourceFile`]s, defined
-//! here; `P2`/`X1`/`S1` are the flow rules in [`crate::flows`], built on
-//! the lexer → items → call-graph pipeline; `W1` is a manifest cross-check
-//! handled in [`crate::manifests`]; `A1` is the stale-waiver audit run by
-//! the whole-repo scan in the crate root. Every rule honors
-//! `// lint:allow(RULE): reason` waivers (checked by the caller via
-//! [`SourceFile::waived`]).
+//! `D1`/`D2`/`U1`/`P1`/`C1`/`E1` are the per-file rules defined here;
+//! `P2`/`X1`/`S1` are the flow rules in [`crate::flows`], built on the
+//! call graph; `W1` is a manifest cross-check handled in
+//! [`crate::manifests`]; `A1` is the stale-waiver audit run by the
+//! whole-repo scan in the crate root. Every rule reads the token stream and
+//! item model of [`crate::items`], so a needle like `Instant::now` matches
+//! its tokens whatever whitespace or line breaks sit between them. Rules
+//! report raw violations; the whole-repo scan applies the
+//! `// lint:allow(RULE): reason` waivers centrally.
 
-use crate::flows::{binding_name, mentions};
-use crate::source::SourceFile;
+use crate::items::{group_end, let_end, let_name, nesting, FileItems};
+use crate::lexer::{lex, Token};
 
 /// One rule violation at a file/line.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -32,11 +34,87 @@ pub struct Violation {
     pub file: String,
     /// 1-indexed line number.
     pub line: usize,
-    /// Rule id (`D1`, `D2`, `U1`, `P1`, `C1`, `W1`).
+    /// Index of the token the violation points at in its file's token
+    /// stream (0 for the manifest rules).
+    pub token: usize,
+    /// Rule id: one of `D1`, `D2`, `U1`, `P1`, `P2`, `C1`, `E1`, `S1`,
+    /// `X1`, `W1`, `A1`.
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
 }
+
+impl Violation {
+    /// A violation of `rule` at token `i` of `file`.
+    pub(crate) fn at(file: &FileItems, i: usize, rule: &'static str, message: String) -> Violation {
+        Violation {
+            file: file.file.clone(),
+            line: file.tokens.get(i).map_or(0, |t| t.line),
+            token: i,
+            rule,
+            message,
+        }
+    }
+}
+
+/// A needle spelled as tokens (`"Instant::now"` is `Instant`, `:`, `:`,
+/// `now`), so a match ignores the whitespace between them. As in a
+/// substring search, an identifier that starts the needle may carry a
+/// prefix and one that ends it a suffix (`thread_rng` also matches
+/// `my_thread_rng`, `env::var` also matches `env::vars`).
+pub(crate) struct Pattern(Vec<String>);
+
+impl Pattern {
+    /// Lexes `needle` into its token texts.
+    pub fn new(needle: &str) -> Pattern {
+        Pattern(lex(needle).tokens.into_iter().map(|t| t.text).collect())
+    }
+
+    /// Whether the needle is spelled starting at token `i`.
+    pub fn at(&self, tokens: &[Token], i: usize) -> bool {
+        let last = self.0.len() - 1;
+        tokens.get(i..=i + last).is_some_and(|ts| {
+            ts.iter().zip(&self.0).enumerate().all(|(k, (t, p))| {
+                let p = p.as_str();
+                match (k == 0, k == last) {
+                    _ if !p.starts_with(|c: char| c.is_alphabetic() || c == '_') => t.text == p,
+                    (true, true) => t.text.contains(p),
+                    (true, false) => t.text.ends_with(p),
+                    (false, true) => t.text.starts_with(p),
+                    (false, false) => t.text == p,
+                }
+            })
+        })
+    }
+
+    /// Whether the needle is spelled just before token `i`.
+    pub fn before(&self, tokens: &[Token], i: usize) -> bool {
+        i >= self.0.len() && self.at(tokens, i - self.0.len())
+    }
+
+    /// Where the needle's first identifier lands for a match at `i` (a
+    /// method needle like `.unwrap()` points at `unwrap`).
+    pub fn anchor(&self, i: usize) -> usize {
+        i + self
+            .0
+            .iter()
+            .position(|t| t.starts_with(char::is_alphabetic))
+            .unwrap_or(0)
+    }
+}
+
+/// Anchors of every match of `needle` in `file` outside test regions.
+pub(crate) fn hits(file: &FileItems, needle: &str) -> Vec<usize> {
+    let pat = Pattern::new(needle);
+    (0..file.tokens.len())
+        .filter(|&i| pat.at(&file.tokens, i))
+        .map(|i| pat.anchor(i))
+        .filter(|&i| !file.in_test(i))
+        .collect()
+}
+
+/// The panic sources P1 flags and P2 chases, as written in messages.
+pub(crate) const PANICS: &[&str] = &[".unwrap()", ".expect(", "panic!", "todo!", "unimplemented!"];
 
 /// File classification for rule scoping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,17 +160,10 @@ pub fn classify(rel: &str) -> Option<FileKind> {
     None
 }
 
-/// Runs every token rule applicable to `file`, waivers already applied.
-pub fn check_file(file: &SourceFile, kind: FileKind) -> Vec<Violation> {
-    let mut violations = check_file_raw(file, kind);
-    violations.retain(|v| !file.waived(v.rule, v.line));
-    violations
-}
-
-/// Like [`check_file`], but *without* applying waivers — the whole-repo
-/// scan filters centrally so it can track which waivers still fire (the
-/// stale-waiver audit needs the pre-filter view).
-pub fn check_file_raw(file: &SourceFile, kind: FileKind) -> Vec<Violation> {
+/// Runs every per-file rule applicable to `file`. Waivers are not applied:
+/// the whole-repo scan filters centrally so it can track which waivers
+/// still fire (the stale-waiver audit needs the pre-filter view).
+pub fn check_file_raw(file: &FileItems, kind: FileKind) -> Vec<Violation> {
     let mut violations = Vec::new();
     if kind == FileKind::Library {
         determinism(file, &mut violations);
@@ -102,10 +173,10 @@ pub fn check_file_raw(file: &SourceFile, kind: FileKind) -> Vec<Violation> {
         thread_discipline(file, &mut violations);
         error_path_hygiene(file, &mut violations);
     }
-    if file.rel.starts_with("crates/hw/src/") {
+    if file.file.starts_with("crates/hw/src/") {
         unit_safety(file, &mut violations);
     }
-    if file.rel.starts_with("crates/hw/src/") || file.rel == "crates/sampler/src/index_map.rs" {
+    if file.file.starts_with("crates/hw/src/") || file.file == "crates/sampler/src/index_map.rs" {
         cast_safety(file, &mut violations);
     }
     violations
@@ -162,7 +233,8 @@ pub const RULES: &[RuleInfo] = &[
         invariant: "no unwaived panic source (P1's set plus message-less asserts) is \
                     reachable from the streaming hot-path roots: StreamingEvaluator::run*, \
                     Ssa::observe, PackedMatrix::matmul*, and the exec dispatch surface",
-        waiver: "// lint:allow(P2): <justification> (a P1/E1 waiver on the line also satisfies P2)",
+        waiver:
+            "// lint:allow(P2): <justification> (a P1/E1 waiver on the statement also satisfies P2)",
     },
     RuleInfo {
         id: "C1",
@@ -203,7 +275,7 @@ pub const RULES: &[RuleInfo] = &[
         id: "A1",
         scope: "library + bench code",
         invariant: "every declared waiver still suppresses a live violation — a waiver whose \
-                    line no longer trips its rule is deleted, keeping the ratchet honest",
+                    statement no longer trips its rule is deleted, keeping the ratchet honest",
         waiver: "not waivable: delete the stale waiver instead",
     },
 ];
@@ -216,7 +288,7 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
 /// D1 — determinism: library code must not read ambient entropy, wall
 /// clocks, or the process environment. All randomness flows through
 /// explicitly seeded generators (`solo_tensor::seeded_rng`).
-fn determinism(file: &SourceFile, out: &mut Vec<Violation>) {
+fn determinism(file: &FileItems, out: &mut Vec<Violation>) {
     const FORBIDDEN: &[(&str, &str)] = &[
         ("thread_rng", "ambient RNG breaks seed reproducibility"),
         (
@@ -238,24 +310,20 @@ fn determinism(file: &SourceFile, out: &mut Vec<Violation>) {
             "CLI parsing belongs in bench binaries, not libraries",
         ),
     ];
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for (needle, why) in FORBIDDEN {
-            if let Some(col) = line.code.find(needle) {
-                // `env::var`/`env::args` would double-report lines already
-                // caught by the broader `std::env::` pattern.
-                if needle.starts_with("env::") && line.code[..col].ends_with("std::") {
-                    continue;
-                }
-                out.push(Violation {
-                    file: file.rel.clone(),
-                    line: idx + 1,
-                    rule: "D1",
-                    message: format!("`{needle}` in library code: {why}"),
-                });
+    let std = Pattern::new("std::");
+    for (needle, why) in FORBIDDEN {
+        for i in hits(file, needle) {
+            // `env::var`/`env::args` would double-report paths already
+            // caught by the broader `std::env::` pattern.
+            if needle.starts_with("env::") && std.before(&file.tokens, i) {
+                continue;
             }
+            out.push(Violation::at(
+                file,
+                i,
+                "D1",
+                format!("`{needle}` in library code: {why}"),
+            ));
         }
     }
 }
@@ -264,61 +332,45 @@ fn determinism(file: &SourceFile, out: &mut Vec<Violation>) {
 /// execution pool. Raw `std::thread::spawn` or `crossbeam::thread::scope`
 /// anywhere outside `crates/tensor/src/exec.rs` (the pool's own dispatch
 /// plumbing) requires a waiver.
-fn thread_discipline(file: &SourceFile, out: &mut Vec<Violation>) {
-    if file.rel == "crates/tensor/src/exec.rs" {
+fn thread_discipline(file: &FileItems, out: &mut Vec<Violation>) {
+    if file.file == "crates/tensor/src/exec.rs" {
         return;
     }
-    const NEEDLES: &[&str] = &["thread::spawn", "thread::scope", "crossbeam::thread"];
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        // At most one D2 per line: `crossbeam::thread::scope(...)` matches
-        // several needles but is a single violation.
-        if let Some(needle) = NEEDLES.iter().find(|n| line.code.contains(**n)) {
-            out.push(Violation {
-                file: file.rel.clone(),
-                line: idx + 1,
-                rule: "D2",
-                message: format!(
+    // `crossbeam::thread::scope(…)` matches two needles but is one path:
+    // its `thread::scope` half is skipped.
+    let crossbeam = Pattern::new("crossbeam::");
+    for needle in ["thread::spawn", "thread::scope", "crossbeam::thread"] {
+        for i in hits(file, needle) {
+            if needle.starts_with("thread") && crossbeam.before(&file.tokens, i) {
+                continue;
+            }
+            out.push(Violation::at(
+                file,
+                i,
+                "D2",
+                format!(
                     "`{needle}` outside solo-tensor::exec: route parallelism through the \
                      shared pool (`exec::pool()`), or waive with `// lint:allow(D2): <reason>`"
                 ),
-            });
+            ));
         }
     }
 }
 
 /// P1 — panic policy: `panic!`/`unwrap()`/`expect(`/`todo!`/
 /// `unimplemented!` in library code requires a waiver with a reason.
-fn panic_policy(file: &SourceFile, out: &mut Vec<Violation>) {
-    const NEEDLES: &[&str] = &["panic!", ".unwrap()", ".expect(", "todo!", "unimplemented!"];
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for needle in NEEDLES {
-            for (col, _) in line.code.match_indices(needle) {
-                // `debug_assert!`-style macros contain no `panic!` token;
-                // but guard `.expect(` against `.expect_err(` just in case
-                // of future edits, and `panic!` against `should_panic`.
-                if *needle == "panic!" {
-                    let before = &line.code[..col];
-                    if before.ends_with("should_") {
-                        continue;
-                    }
-                }
-                out.push(Violation {
-                    file: file.rel.clone(),
-                    line: idx + 1,
-                    rule: "P1",
-                    message: format!(
-                        "`{}` in library code needs `// lint:allow(P1): <reason>` or a Result",
-                        needle.trim_start_matches('.')
-                    ),
-                });
-                break; // one violation per needle per line
-            }
+fn panic_policy(file: &FileItems, out: &mut Vec<Violation>) {
+    for needle in PANICS {
+        for i in hits(file, needle) {
+            out.push(Violation::at(
+                file,
+                i,
+                "P1",
+                format!(
+                    "`{}` in library code needs `// lint:allow(P1): <reason>` or a Result",
+                    needle.trim_start_matches('.')
+                ),
+            ));
         }
     }
 }
@@ -326,12 +378,12 @@ fn panic_policy(file: &SourceFile, out: &mut Vec<Violation>) {
 /// U1 — unit safety (`crates/hw` only): public functions must not take
 /// raw `f64` parameters with unit-suffixed names (use the `Latency`/
 /// `Energy` newtypes), and quantities must not be unwrapped to `f64` just
-/// to be rewrapped — on one line, or split over a `let` that holds the
-/// unwrapped value and a later rewrap of that name in the same file.
-fn unit_safety(file: &SourceFile, out: &mut Vec<Violation>) {
+/// to be rewrapped — inside the rewrap's arguments, or through any earlier
+/// `let` in the file that holds the unwrapped value.
+fn unit_safety(file: &FileItems, out: &mut Vec<Violation>) {
     // units.rs defines the newtypes; its constructors must take raw f64
     // and its operator impls legitimately unwrap and rewrap.
-    if file.rel == "crates/hw/src/units.rs" {
+    if file.file == "crates/hw/src/units.rs" {
         return;
     }
     const SUFFIXES: &[&str] = &["_us", "_ms", "_ns", "_uj", "_mj", "_cycles"];
@@ -341,292 +393,179 @@ fn unit_safety(file: &SourceFile, out: &mut Vec<Violation>) {
         (".uj()", "Energy::from_uj("),
         (".mj()", "Energy::from_mj("),
     ];
-    // `let` names holding an unwrapped quantity, with their unwrap needle.
-    let mut unwrapped: Vec<(String, &str)> = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
+    let tokens = &file.tokens;
+    let (public, public_crate) = (Pattern::new("pub"), Pattern::new("pub(crate)"));
+    let raw_f64 = Pattern::new(": f64");
+    for f in file.fns.iter().filter(|f| !f.is_test) {
+        if !public.before(tokens, f.sig.0) && !public_crate.before(tokens, f.sig.0) {
             continue;
         }
-        for (unwrap, rewrap) in REWRAP {
-            let unwraps = line.code.contains(unwrap);
-            if let Some(pos) = line.code.find(rewrap) {
-                let arg = &line.code[pos + rewrap.len()..];
-                let split = unwrapped
-                    .iter()
-                    .find(|(name, u)| u == unwrap && mentions(arg, name));
-                if unwraps || split.is_some() {
-                    let via = split.map_or(String::new(), |(name, _)| format!(" via `let {name}`"));
-                    out.push(Violation {
-                        file: file.rel.clone(),
-                        line: idx + 1,
-                        rule: "U1",
-                        message: format!(
-                            "unwrap-rewrap `{unwrap}` → `{rewrap}…)`{via}: keep the quantity in its newtype"
-                        ),
-                    });
-                }
+        for i in f.sig.0..f.sig.1 {
+            let Some(suffix) = SUFFIXES
+                .iter()
+                .find(|s| tokens[i].text.len() > s.len() && tokens[i].text.ends_with(*s))
+            else {
+                continue;
+            };
+            if raw_f64.at(tokens, i + 1) {
+                out.push(Violation::at(
+                    file,
+                    i,
+                    "U1",
+                    format!(
+                        "public fn takes raw `f64` parameter `…{suffix}`: use the unit newtypes from units.rs"
+                    ),
+                ));
             }
-            if unwraps {
-                if let Some(name) = binding_name(&line.code) {
+        }
+    }
+    let rewraps: Vec<(&str, Pattern, &str, Pattern)> = REWRAP
+        .iter()
+        .map(|&(u, r)| (u, Pattern::new(u), r, Pattern::new(r)))
+        .collect();
+    let contains = |lo: usize, hi: usize, p: &Pattern| (lo..hi).any(|j| p.at(tokens, j));
+    // `let` names holding an unwrapped quantity, with their unwrap needle.
+    let mut unwrapped: Vec<(&str, &str)> = Vec::new();
+    for i in (0..tokens.len()).filter(|&i| !file.in_test(i)) {
+        if let Some(name) = tokens[i]
+            .is_ident("let")
+            .then(|| let_name(tokens, i))
+            .flatten()
+        {
+            let end = let_end(tokens, i);
+            for (unwrap, unwrap_pat, _, _) in &rewraps {
+                if contains(i, end, unwrap_pat) {
                     unwrapped.push((name, unwrap));
                 }
             }
         }
-        // Public fn signature with a raw unit-suffixed f64 parameter.
-        // Signatures are assumed to fit on one line (rustfmt keeps them
-        // under 100 columns here); multi-line signatures are caught by the
-        // per-parameter scan below matching the continuation lines too.
-        let code = line.code.trim_start();
-        let is_pub_fn_context = code.starts_with("pub fn")
-            || code.starts_with("pub(crate) fn")
-            || in_signature_continuation(file, idx);
-        if !is_pub_fn_context {
-            continue;
-        }
-        for suffix in SUFFIXES {
-            for (pos, _) in line.code.match_indices(&format!("{suffix}: f64")) {
-                // Make sure the suffix terminates an identifier.
-                let before = &line.code[..pos];
-                if before
-                    .chars()
-                    .last()
-                    .is_some_and(|c| c.is_alphanumeric() || c == '_')
-                {
-                    out.push(Violation {
-                        file: file.rel.clone(),
-                        line: idx + 1,
-                        rule: "U1",
-                        message: format!(
-                            "public fn takes raw `f64` parameter `…{suffix}`: use the unit newtypes from units.rs"
-                        ),
-                    });
-                }
+        for (unwrap, unwrap_pat, rewrap, rewrap_pat) in &rewraps {
+            if !rewrap_pat.at(tokens, i) {
+                continue;
+            }
+            let open = i + rewrap_pat.0.len() - 1;
+            let args = (open + 1, group_end(tokens, open));
+            let direct = contains(args.0, args.1, unwrap_pat);
+            let split = unwrapped.iter().find(|(name, u)| {
+                u == unwrap && (args.0..args.1).any(|j| tokens[j].is_ident(name))
+            });
+            if direct || split.is_some() {
+                let via = split
+                    .filter(|_| !direct)
+                    .map_or(String::new(), |(name, _)| format!(" via `let {name}`"));
+                out.push(Violation::at(
+                    file,
+                    i,
+                    "U1",
+                    format!(
+                        "unwrap-rewrap `{unwrap}` → `{rewrap}…)`{via}: keep the quantity in its newtype"
+                    ),
+                ));
             }
         }
     }
-}
-
-/// Whether line `idx` continues a `pub fn` signature opened above (no `{`
-/// or `;` seen yet since the `pub fn` line).
-fn in_signature_continuation(file: &SourceFile, idx: usize) -> bool {
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let code = file.lines[i].code.trim();
-        if code.contains('{') || code.contains(';') {
-            return false;
-        }
-        if code.starts_with("pub fn") || code.starts_with("pub(crate) fn") {
-            return true;
-        }
-        if code.is_empty() {
-            return false;
-        }
-    }
-    false
 }
 
 /// C1 — cast safety: in the hardware models and the sampler's index-map
 /// hot path, truncating casts (`as usize`/`as u32`/`as u64`) directly on
 /// arithmetic expressions are flagged — round or clamp explicitly first.
-fn cast_safety(file: &SourceFile, out: &mut Vec<Violation>) {
-    const CASTS: &[&str] = &[" as usize", " as u32", " as u64"];
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for cast in CASTS {
-            for (pos, _) in line.code.match_indices(cast) {
-                if !operand_is_sanctioned(&line.code[..pos])
-                    && operand_has_arithmetic(&line.code[..pos])
-                {
-                    out.push(Violation {
-                        file: file.rel.clone(),
-                        line: idx + 1,
-                        rule: "C1",
-                        message: format!(
-                            "truncating `{}` on an arithmetic expression: round/clamp explicitly",
-                            cast.trim_start()
-                        ),
-                    });
-                    break; // one per cast kind per line
-                }
+fn cast_safety(file: &FileItems, out: &mut Vec<Violation>) {
+    for cast in ["as usize", "as u32", "as u64"] {
+        for i in hits(file, cast) {
+            if !operand_is_sanctioned(&file.tokens, i) && operand_has_arithmetic(&file.tokens, i) {
+                out.push(Violation::at(
+                    file,
+                    i,
+                    "C1",
+                    format!(
+                        "truncating `{cast}` on an arithmetic expression: round/clamp explicitly"
+                    ),
+                ));
             }
         }
     }
 }
 
-/// E1 — error-path hygiene: a function whose signature mentions
+/// E1 — error-path hygiene: a function whose return type mentions
 /// `FrameOutcome` or `SoloError` is on the typed fault-propagation path,
 /// so its body (closures and nested items included) must not call
 /// `.unwrap()` or `.expect(` — faults travel as values, not panics.
-fn error_path_hygiene(file: &SourceFile, out: &mut Vec<Violation>) {
-    /// How many lines a signature may span before we give up on finding
-    /// its opening brace (guards against pathological formatting).
-    const SIG_SPAN: usize = 16;
-    const NEEDLES: &[&str] = &[".unwrap()", ".expect("];
-    let lines = &file.lines;
-    let mut i = 0usize;
-    while i < lines.len() {
-        let Some(fn_col) = fn_token(&lines[i].code) else {
-            i += 1;
-            continue;
-        };
-        // Accumulate the signature from the `fn` token to its opening brace.
-        let mut sig = String::new();
-        let mut open = None; // (line index, byte offset just past '{')
-        let mut col = fn_col;
-        'sig: for j in i..lines.len().min(i + SIG_SPAN) {
-            let code = &lines[j].code;
-            let tail = &code[col.min(code.len())..];
-            for (k, ch) in tail.char_indices() {
-                if ch == '{' {
-                    sig.push_str(&tail[..k]);
-                    open = Some((j, col + k + 1));
-                    break 'sig;
-                }
-                if ch == ';' {
-                    sig.push_str(&tail[..k]);
-                    break 'sig; // trait method or extern declaration
-                }
-            }
-            sig.push_str(tail);
-            sig.push(' ');
-            col = 0;
-        }
-        let fallible = sig
-            .split("->")
-            .nth(1)
-            .is_some_and(|ret| ret.contains("FrameOutcome") || ret.contains("SoloError"));
-        let Some((open_line, open_col)) = open else {
-            i += 1;
-            continue;
-        };
+fn error_path_hygiene(file: &FileItems, out: &mut Vec<Violation>) {
+    let tokens = &file.tokens;
+    let arrow = Pattern::new("->");
+    let mut flagged = std::collections::BTreeMap::new();
+    for f in file.fns.iter().filter(|f| f.body.0 < f.body.1) {
+        let fallible = (f.sig.0..f.sig.1)
+            .find(|&i| arrow.at(tokens, i) && tokens[i].span.1 == tokens[i + 1].span.0)
+            .is_some_and(|i| {
+                (i..f.sig.1)
+                    .any(|j| tokens[j].is_ident("FrameOutcome") || tokens[j].is_ident("SoloError"))
+            });
         if !fallible {
-            i += 1;
             continue;
         }
-        // Walk the body to its closing brace, flagging panicking calls.
-        let mut depth = 1i32;
-        let mut bl = open_line;
-        let mut bc = open_col;
-        while bl < lines.len() && depth > 0 {
-            let code = &lines[bl].code;
-            let tail = &code[bc.min(code.len())..];
-            if !lines[bl].in_test {
-                for needle in NEEDLES {
-                    if tail.contains(needle) {
-                        out.push(Violation {
-                            file: file.rel.clone(),
-                            line: bl + 1,
-                            rule: "E1",
-                            message: format!(
-                                "`{}` inside a `FrameOutcome`/`SoloError` function: propagate \
-                                 with `?` or map to a `SoloError`",
-                                needle.trim_start_matches('.')
-                            ),
-                        });
-                    }
-                }
+        for needle in &PANICS[..2] {
+            for i in hits(file, needle)
+                .into_iter()
+                .filter(|&i| f.body.0 <= i && i < f.body.1)
+            {
+                flagged.insert(i, needle);
             }
-            for ch in tail.chars() {
-                match ch {
-                    '{' => depth += 1,
-                    '}' => depth -= 1,
-                    _ => {}
-                }
-                if depth == 0 {
-                    break;
-                }
-            }
-            bl += 1;
-            bc = 0;
         }
-        i = bl.max(i + 1);
+    }
+    for (i, needle) in flagged {
+        out.push(Violation::at(
+            file,
+            i,
+            "E1",
+            format!(
+                "`{}` inside a `FrameOutcome`/`SoloError` function: propagate \
+                 with `?` or map to a `SoloError`",
+                needle.trim_start_matches('.')
+            ),
+        ));
     }
 }
 
-/// Finds a `fn` keyword token in a code line, returning the byte offset of
-/// the signature start (the `fn` itself), or `None`.
-fn fn_token(code: &str) -> Option<usize> {
-    for (pos, _) in code.match_indices("fn ") {
-        let preceded_ok = pos == 0
-            || code[..pos]
-                .chars()
-                .next_back()
-                .is_some_and(|c| !c.is_alphanumeric() && c != '_');
-        if preceded_ok {
-            return Some(pos);
-        }
-    }
-    None
-}
-
-/// Whether the cast operand already ends in an explicit rounding/clamping
-/// call — `(a * b).round() as u64` is the sanctioned form C1 asks for.
-fn operand_is_sanctioned(before: &str) -> bool {
+/// Whether the cast operand before the `as` at `cast` already ends in an
+/// explicit rounding/clamping call — `(a * b).round() as u64` is the
+/// sanctioned form C1 asks for.
+fn operand_is_sanctioned(tokens: &[Token], cast: usize) -> bool {
     const SANCTIONED: &[&str] = &["round", "floor", "ceil", "trunc", "clamp", "min", "max"];
-    let t = before.trim_end();
-    if !t.ends_with(')') {
+    if cast == 0 || !tokens[cast - 1].is_punct(')') {
         return false;
     }
     // Find the matching open paren of the trailing call.
-    let chars: Vec<char> = t.chars().collect();
     let mut depth = 0i32;
-    let mut open = None;
-    for i in (0..chars.len()).rev() {
-        match chars[i] {
-            ')' | ']' => depth += 1,
-            '(' | '[' => {
-                depth -= 1;
-                if depth == 0 {
-                    open = Some(i);
-                    break;
-                }
-            }
-            _ => {}
+    for j in (0..cast).rev() {
+        depth -= nesting(&tokens[j]);
+        if depth == 0 {
+            return j > 0 && SANCTIONED.iter().any(|s| tokens[j - 1].is_ident(s));
         }
     }
-    let Some(open) = open else {
-        return false;
-    };
-    // Read the identifier immediately before the open paren.
-    let ident: String = chars[..open]
-        .iter()
-        .rev()
-        .take_while(|c| c.is_alphanumeric() || **c == '_')
-        .collect::<Vec<_>>()
-        .into_iter()
-        .rev()
-        .collect();
-    SANCTIONED.contains(&ident.as_str())
+    false
 }
 
-/// Scans the cast operand (the expression just before ` as `) backwards
-/// for arithmetic operators at paren depth ≥ 0 relative to the operand.
-fn operand_has_arithmetic(before: &str) -> bool {
-    let chars: Vec<char> = before.chars().collect();
+/// Scans the cast operand (the expression before the `as` at `cast`)
+/// backwards for arithmetic operators, up to the operand's boundary: a
+/// `,`, `;`, `=`, `{`, `}`, `&` or `|` outside brackets, or the enclosing
+/// group's open bracket.
+fn operand_has_arithmetic(tokens: &[Token], cast: usize) -> bool {
     let mut depth = 0i32;
     let mut seen_arith = false;
-    for i in (0..chars.len()).rev() {
-        let c = chars[i];
-        match c {
-            ')' | ']' => depth += 1,
-            '(' | '[' => {
-                depth -= 1;
-                if depth < 0 {
-                    break; // left the operand's enclosing group
-                }
+    for j in (0..cast).rev() {
+        let t = &tokens[j];
+        if !t.is_punct('{') && !t.is_punct('}') {
+            depth -= nesting(t);
+            if depth < 0 {
+                break; // left the operand's enclosing group
             }
-            // Operand boundary tokens at depth 0.
-            ',' | ';' | '=' | '{' | '}' | '&' | '|' if depth == 0 => break,
-            '+' | '*' | '/' | '%' => seen_arith = true,
-            '-' => {
-                // `->` is not arithmetic; `-` followed by `>` .
-                if chars.get(i + 1) != Some(&'>') {
-                    seen_arith = true;
-                }
-            }
+        }
+        match t.text.as_str() {
+            "," | ";" | "=" | "{" | "}" | "&" | "|" if depth == 0 => break,
+            "+" | "*" | "/" | "%" => seen_arith = true,
+            // `->` is not arithmetic.
+            "-" => seen_arith |= !tokens[j + 1].is_punct('>') || tokens[j + 1].span.0 != t.span.1,
             _ => {}
         }
     }
@@ -636,9 +575,18 @@ fn operand_has_arithmetic(before: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::items::parse_file;
 
-    fn lib_file(src: &str) -> SourceFile {
-        SourceFile::parse("crates/core/src/x.rs", src)
+    fn lib_file(src: &str) -> FileItems {
+        parse_file("crates/core/src/x.rs", src)
+    }
+
+    /// The per-file rules with waivers applied, as the whole-repo scan
+    /// filters them.
+    fn check(file: &FileItems, kind: FileKind) -> Vec<Violation> {
+        let mut violations = check_file_raw(file, kind);
+        violations.retain(|v| file.waiver(v.rule, v.token).is_none());
+        violations
     }
 
     #[test]
@@ -659,48 +607,48 @@ mod tests {
     #[test]
     fn d1_flags_entropy_and_clocks() {
         let f = lib_file("let r = thread_rng();\nlet t = Instant::now();");
-        let v = check_file(&f, FileKind::Library);
+        let v = check(&f, FileKind::Library);
         assert_eq!(v.iter().filter(|v| v.rule == "D1").count(), 2);
     }
 
     #[test]
     fn d1_ignores_tests_and_comments() {
         let f = lib_file("// thread_rng in a comment\n#[cfg(test)]\nmod tests {\n fn t() { let r = thread_rng(); }\n}");
-        assert!(check_file(&f, FileKind::Library).is_empty());
+        assert!(check(&f, FileKind::Library).is_empty());
     }
 
     #[test]
     fn d1_reports_std_env_once() {
         let f = lib_file("let v = std::env::var(\"X\");");
-        let v = check_file(&f, FileKind::Library);
+        let v = check(&f, FileKind::Library);
         assert_eq!(v.len(), 1, "{v:?}");
     }
 
     #[test]
     fn d2_flags_raw_threads_outside_exec() {
         let f = lib_file("crossbeam::thread::scope(|s| { s.spawn(|_| work()); });");
-        let v = check_file(&f, FileKind::Library);
+        let v = check(&f, FileKind::Library);
         // One violation even though the line matches several needles.
         assert_eq!(v.iter().filter(|v| v.rule == "D2").count(), 1, "{v:?}");
         let f = lib_file("let h = std::thread::spawn(work);");
-        assert_eq!(check_file(&f, FileKind::Library)[0].rule, "D2");
+        assert_eq!(check(&f, FileKind::Library)[0].rule, "D2");
     }
 
     #[test]
     fn d2_exempts_exec_and_tests_and_accepts_waivers() {
-        let exec = SourceFile::parse(
+        let exec = parse_file(
             "crates/tensor/src/exec.rs",
             "crossbeam::thread::scope(|s| {});",
         );
-        assert!(check_file(&exec, FileKind::Library)
+        assert!(check(&exec, FileKind::Library)
             .iter()
             .all(|v| v.rule != "D2"));
         let f = lib_file("#[cfg(test)]\nmod tests {\n fn t() { std::thread::spawn(w); }\n}");
-        assert!(check_file(&f, FileKind::Library).is_empty());
+        assert!(check(&f, FileKind::Library).is_empty());
         let f = lib_file(
             "// lint:allow(D2): bounded one-off helper thread, joined below\nlet h = std::thread::spawn(work);",
         );
-        assert!(check_file(&f, FileKind::Library).is_empty());
+        assert!(check(&f, FileKind::Library).is_empty());
     }
 
     #[test]
@@ -715,7 +663,7 @@ mod tests {
              \x20   x.unwrap()\n\
              }\n",
         );
-        let v = check_file(&f, FileKind::Library);
+        let v = check(&f, FileKind::Library);
         let e1: Vec<_> = v.iter().filter(|v| v.rule == "E1").collect();
         assert_eq!(e1.len(), 2, "{v:?}");
         assert_eq!(e1[0].line, 2);
@@ -732,7 +680,7 @@ mod tests {
              \x20   Ok(())\n\
              }\n",
         );
-        let v = check_file(&f, FileKind::Library);
+        let v = check(&f, FileKind::Library);
         assert_eq!(v.iter().filter(|v| v.rule == "E1").count(), 1, "{v:?}");
     }
 
@@ -745,9 +693,7 @@ mod tests {
              }\n\
              fn plain() { x.unwrap(); }\n",
         );
-        assert!(check_file(&f, FileKind::Library)
-            .iter()
-            .all(|v| v.rule != "E1"));
+        assert!(check(&f, FileKind::Library).iter().all(|v| v.rule != "E1"));
         let f = lib_file(
             "fn w() -> FrameOutcome<()> {\n\
              \x20   // lint:allow(E1): startup-only invariant\n\
@@ -755,9 +701,7 @@ mod tests {
              \x20   Ok(())\n\
              }\n",
         );
-        assert!(check_file(&f, FileKind::Library)
-            .iter()
-            .all(|v| v.rule != "E1"));
+        assert!(check(&f, FileKind::Library).iter().all(|v| v.rule != "E1"));
     }
 
     #[test]
@@ -771,73 +715,69 @@ mod tests {
              \x20   fn t() -> FrameOutcome<()> { x.unwrap(); Ok(()) }\n\
              }\n",
         );
-        assert!(check_file(&f, FileKind::Library)
-            .iter()
-            .all(|v| v.rule != "E1"));
+        assert!(check(&f, FileKind::Library).iter().all(|v| v.rule != "E1"));
     }
 
     #[test]
     fn d2_applies_to_bench_code() {
-        let f = SourceFile::parse(
+        let f = parse_file(
             "crates/bench/src/lib.rs",
             "let h = std::thread::spawn(work);",
         );
-        let v = check_file(&f, FileKind::Bench);
+        let v = check(&f, FileKind::Bench);
         assert_eq!(v.iter().filter(|v| v.rule == "D2").count(), 1, "{v:?}");
     }
 
     #[test]
     fn d2_ignores_unrelated_thread_apis() {
         let f = lib_file("let n = std::thread::available_parallelism();");
-        assert!(check_file(&f, FileKind::Library)
-            .iter()
-            .all(|v| v.rule != "D2"));
+        assert!(check(&f, FileKind::Library).iter().all(|v| v.rule != "D2"));
     }
 
     #[test]
     fn p1_requires_waiver() {
         let f = lib_file("let x = map.get(k).unwrap();");
-        assert_eq!(check_file(&f, FileKind::Library)[0].rule, "P1");
+        assert_eq!(check(&f, FileKind::Library)[0].rule, "P1");
         let f = lib_file("let x = map.get(k).unwrap(); // lint:allow(P1): key inserted above");
-        assert!(check_file(&f, FileKind::Library).is_empty());
+        assert!(check(&f, FileKind::Library).is_empty());
     }
 
     #[test]
     fn p1_skips_unwrap_or_variants() {
         let f = lib_file("let x = v.unwrap_or_else(|| 3).max(v.unwrap_or(2));");
-        assert!(check_file(&f, FileKind::Library).is_empty());
+        assert!(check(&f, FileKind::Library).is_empty());
     }
 
     #[test]
     fn u1_flags_raw_unit_params_in_hw_only() {
         let src = "pub fn set_budget(&mut self, budget_us: f64) {}";
-        let hw = SourceFile::parse("crates/hw/src/gpu.rs", src);
-        let v = check_file(&hw, FileKind::Library);
+        let hw = parse_file("crates/hw/src/gpu.rs", src);
+        let v = check(&hw, FileKind::Library);
         assert!(v.iter().any(|v| v.rule == "U1"), "{v:?}");
-        let core = SourceFile::parse("crates/core/src/x.rs", src);
-        assert!(check_file(&core, FileKind::Library)
+        let core = parse_file("crates/core/src/x.rs", src);
+        assert!(check(&core, FileKind::Library)
             .iter()
             .all(|v| v.rule != "U1"));
     }
 
     #[test]
     fn u1_allows_units_rs_constructors_and_private_fns() {
-        let units = SourceFile::parse(
+        let units = parse_file(
             "crates/hw/src/units.rs",
             "pub fn from_us(raw_us: f64) -> Self {}",
         );
-        assert!(check_file(&units, FileKind::Library).is_empty());
-        let private = SourceFile::parse("crates/hw/src/gpu.rs", "fn helper(t_us: f64) {}");
-        assert!(check_file(&private, FileKind::Library).is_empty());
+        assert!(check(&units, FileKind::Library).is_empty());
+        let private = parse_file("crates/hw/src/gpu.rs", "fn helper(t_us: f64) {}");
+        assert!(check(&private, FileKind::Library).is_empty());
     }
 
     #[test]
     fn u1_flags_unwrap_rewrap() {
-        let f = SourceFile::parse(
+        let f = parse_file(
             "crates/hw/src/soc.rs",
             "let t = Latency::from_us(a.us() + b.us());",
         );
-        let v = check_file(&f, FileKind::Library);
+        let v = check(&f, FileKind::Library);
         assert!(v.iter().any(|v| v.rule == "U1"), "{v:?}");
     }
 
@@ -846,8 +786,8 @@ mod tests {
         let split = "let share_ms = (gpu.latency(g).ms() / b).min(t.ms());\n\
                      let other = 2.0;\n\
                      t = Latency::from_ms(share_ms);";
-        let f = SourceFile::parse("crates/hw/src/soc.rs", split);
-        let v = check_file(&f, FileKind::Library);
+        let f = parse_file("crates/hw/src/soc.rs", split);
+        let v = check(&f, FileKind::Library);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!((v[0].rule, v[0].line), ("U1", 3));
         assert!(v[0].message.contains("let share_ms"), "{v:?}");
@@ -856,40 +796,36 @@ mod tests {
         let unrelated = "let share_ms = t.ms();\n\
                          let a = Latency::from_ms(budget_ms);\n\
                          let b = Latency::from_us(share_ms);";
-        let f = SourceFile::parse("crates/hw/src/soc.rs", unrelated);
-        assert!(check_file(&f, FileKind::Library).is_empty());
+        let f = parse_file("crates/hw/src/soc.rs", unrelated);
+        assert!(check(&f, FileKind::Library).is_empty());
         let waived = "let share_ms = t.ms();\n\
                       // lint:allow(U1): kept for bit-identical archives\n\
                       t = Latency::from_ms(share_ms);";
-        let f = SourceFile::parse("crates/hw/src/soc.rs", waived);
-        assert!(check_file(&f, FileKind::Library).is_empty());
+        let f = parse_file("crates/hw/src/soc.rs", waived);
+        assert!(check(&f, FileKind::Library).is_empty());
     }
 
     #[test]
     fn c1_flags_arithmetic_casts() {
-        let f = SourceFile::parse("crates/hw/src/sensor.rs", "let n = (w * h / 4) as usize;");
-        let v = check_file(&f, FileKind::Library);
+        let f = parse_file("crates/hw/src/sensor.rs", "let n = (w * h / 4) as usize;");
+        let v = check(&f, FileKind::Library);
         assert!(v.iter().any(|v| v.rule == "C1"), "{v:?}");
     }
 
     #[test]
     fn c1_ignores_plain_casts_and_other_crates() {
-        let f = SourceFile::parse("crates/hw/src/sensor.rs", "let n = width as usize;");
-        assert!(check_file(&f, FileKind::Library)
-            .iter()
-            .all(|v| v.rule != "C1"));
-        let f = SourceFile::parse("crates/core/src/x.rs", "let n = (w * h) as usize;");
-        assert!(check_file(&f, FileKind::Library)
-            .iter()
-            .all(|v| v.rule != "C1"));
+        let f = parse_file("crates/hw/src/sensor.rs", "let n = width as usize;");
+        assert!(check(&f, FileKind::Library).iter().all(|v| v.rule != "C1"));
+        let f = parse_file("crates/core/src/x.rs", "let n = (w * h) as usize;");
+        assert!(check(&f, FileKind::Library).iter().all(|v| v.rule != "C1"));
     }
 
     #[test]
     fn bench_code_is_exempt_from_d1_and_p1() {
-        let f = SourceFile::parse(
+        let f = parse_file(
             "crates/bench/src/lib.rs",
             "let q = std::env::args().next().unwrap();",
         );
-        assert!(check_file(&f, FileKind::Bench).is_empty());
+        assert!(check(&f, FileKind::Bench).is_empty());
     }
 }

@@ -449,6 +449,38 @@ fn p2_reaches_from_the_serving_roots() {
 }
 
 #[test]
+fn p2_reaches_an_imported_function_past_its_cfg_twin() {
+    let repo = FixtureRepo::new("p2-cfg-twin");
+    // `level()` is imported from the SIMD module, and a `#[cfg]` fallback
+    // of the same name sits in the caller's file. A bare call binds to
+    // every workspace function of its name, so P2 reaches both twins and
+    // flags the message-less assert in the imported one.
+    repo.write(
+        "crates/tensor/src/packed.rs",
+        "use simd::level;\n\
+         #[cfg(target_arch = \"x86_64\")]\n\
+         mod simd;\n\
+         #[cfg(not(target_arch = \"x86_64\"))]\n\
+         mod simd {\n\
+         \x20   pub fn level() -> u8 { 0 }\n\
+         }\n\
+         impl PackedMatrix {\n\
+         \x20   pub fn matmul(&self) -> u8 { level() }\n\
+         }\n",
+    );
+    repo.write(
+        "crates/tensor/src/packed/simd.rs",
+        "pub fn level() -> u8 {\n\
+         \x20   assert!(detect() > 0);\n\
+         \x20   1\n\
+         }\n\
+         fn detect() -> u8 { 1 }\n",
+    );
+    assert!(repo.rules_at("crates/tensor/src/packed.rs").is_empty());
+    assert_eq!(repo.rules_at("crates/tensor/src/packed/simd.rs"), ["P2"]);
+}
+
+#[test]
 fn x1_pairs_every_scratch_handout_with_its_return_path() {
     let repo = FixtureRepo::new("x1");
     repo.write(
@@ -585,12 +617,12 @@ fn call_graph_edge_counts_are_pinned_on_a_fixture_tree() {
     let scan = scan_repo_full(&repo.root).expect("scan fixture repo");
     let g = &scan.graph;
     assert_eq!(g.functions, 5, "run, stage, helper, dispatch, submit");
-    // helper() binds same-file, exec::dispatch() and Pool::submit() by
-    // path (3 resolved); self.stage() is a method-name fallback;
-    // Pool::missing() is unresolved (workspace type, no such item);
-    // std::mem::drop() is external.
-    assert_eq!(g.stats.resolved, 3, "{:?}", g.stats);
-    assert_eq!(g.stats.fallback, 1, "{:?}", g.stats);
+    // exec::dispatch() and Pool::submit() bind by path (2 resolved);
+    // helper() binds by name and self.stage() by method name (2
+    // fallback); Pool::missing() is unresolved (workspace type, no such
+    // item); std::mem::drop() is external.
+    assert_eq!(g.stats.resolved, 2, "{:?}", g.stats);
+    assert_eq!(g.stats.fallback, 2, "{:?}", g.stats);
     assert_eq!(g.stats.external, 1, "{:?}", g.stats);
     assert_eq!(g.stats.unresolved, 1, "{:?}", g.stats);
     assert_eq!(g.unresolved.len(), 1);

@@ -226,7 +226,7 @@ impl Supervisor {
     /// health signals (`None` for quarantined or probed slots). Streaks
     /// update in place; the returned indices are the slots whose streaks
     /// crossed a quarantine threshold this tick — the server parks them
-    /// and hands their checkpoints back via [`Self::quarantine`].
+    /// and hands their checkpoints back via `Self::quarantine`.
     ///
     /// This is the supervision hot path: it must stay panic-free (lint
     /// rule P2 walks it), so every slot access is checked and a

@@ -112,7 +112,7 @@ pub fn take_buf_at(site: &'static str, len: usize) -> Vec<f32> {
 
 /// Returns a buffer to the global scratch pool so a later [`take_buf`] can
 /// reuse its allocation. Oversized buffers are dropped; see the caps on
-/// [`MAX_POOLED_ELEMS`] and [`MAX_POOLED_BUFFERS`].
+/// `MAX_POOLED_ELEMS` and `MAX_POOLED_BUFFERS`.
 pub fn recycle_buf(buf: Vec<f32>) {
     pool().buffers.give(buf);
 }

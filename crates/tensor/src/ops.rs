@@ -122,7 +122,7 @@ impl Tensor {
 
     /// Sum of all elements.
     ///
-    /// Large tensors reduce in fixed [`REDUCE_CHUNK`]-element chunks whose
+    /// Large tensors reduce in fixed `REDUCE_CHUNK`-element chunks whose
     /// partials are folded in order, so the result does not depend on the
     /// pool width.
     pub fn sum(&self) -> f32 {

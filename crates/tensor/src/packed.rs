@@ -458,7 +458,7 @@ impl<T> PackedCache<T> {
 /// a clone of one `SharedPackedCache`, so a weight matrix packs exactly
 /// once per parameter *version* per process — never once per session.
 ///
-/// The cached packing is handed out behind an [`Arc`], so sessions keep
+/// The cached packing is handed out behind an [`Arc`](std::sync::Arc), so sessions keep
 /// using the panels they fetched even while another session triggers a
 /// repack for a newer version; the old panels drop when the last holder
 /// releases them. [`SharedPackedCache::pack_count`] counts how many times
@@ -963,7 +963,7 @@ impl PackedMatrix {
     /// `self` a pre-packed `[outC, C·k·k]` left operand, producing the
     /// `[outC, outH·outW]` response matrix — without ever materializing the
     /// im2col patch matrix. The column panels are filled straight from the
-    /// image by [`pack_rhs_im2col_into`]; since packing is a pure value
+    /// image by `pack_rhs_im2col_into`; since packing is a pure value
     /// copy, the result is bit-identical to
     /// `self.matmul(&im2col(input, spec))` at any pool width, while the
     /// peak scratch drops by the whole patch-matrix footprint.
@@ -990,7 +990,7 @@ impl Tensor {
     /// `dW = g · colsᵀ` product of the convolution backward pass, computed
     /// without materializing either the patch matrix or its transpose. The
     /// transposed column panels are filled straight from the image by
-    /// [`pack_rhs_im2col_t_into`], so the result is bit-identical to
+    /// `pack_rhs_im2col_t_into`, so the result is bit-identical to
     /// `self.matmul(&im2col(input, spec).transpose())` at any pool width.
     ///
     /// # Panics
@@ -1332,7 +1332,7 @@ impl QPackedMatrix {
 
     /// Quantized implicit-GEMM convolution forward:
     /// `self · im2col(input, spec)` with the patch matrix packed straight
-    /// from the quantized image by [`pack_rhs_im2col_into`] — the
+    /// from the quantized image by `pack_rhs_im2col_into` — the
     /// quantized twin of [`PackedMatrix::matmul_im2col`].
     ///
     /// # Panics
