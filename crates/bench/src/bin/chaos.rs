@@ -41,8 +41,6 @@ use solo_tensor::{normal, seeded_rng, xavier_uniform, Tensor};
 
 /// Sweep seed: offsets every session's scene + fault streams.
 const SWEEP_SEED: u64 = 83;
-/// Ladder rung names, nominal first (mirrors `DegradeAction::rung`).
-const RUNG_NAMES: [&str; DegradeAction::RUNGS] = ["nominal", "hold", "widen", "uniform", "reuse"];
 /// Ticks for the deep-outage cells (8 sessions, full dropout): long
 /// enough to drain a worst-case 80-frame tracker outage through the
 /// probe fast-forward and re-admit at least one session.
@@ -219,7 +217,7 @@ fn run_cell(
         .enumerate()
         .map(|(r, &(frames_scored, b_iou))| RungRow {
             rung: r,
-            name: RUNG_NAMES[r].to_string(),
+            name: DegradeAction::NAMES[r].to_string(),
             frames_scored,
             b_iou,
         })
@@ -427,7 +425,7 @@ fn check(path: &str) -> Result<(), String> {
             ));
         }
         for (r, rung) in row.rungs.iter().enumerate() {
-            if rung.rung != r || rung.name != RUNG_NAMES[r] {
+            if rung.rung != r || rung.name != DegradeAction::NAMES[r] {
                 return Err(format!("{path}: {tag}: rung row {r} mislabeled"));
             }
             if !rung.b_iou.is_finite() || !(0.0..=1.0).contains(&rung.b_iou) {

@@ -16,6 +16,11 @@
 //!   the streaming loop walks on gaze loss: hold the last fixation with a
 //!   decaying confidence, widen the saliency crop, fall back to uniform
 //!   full-frame segmentation, and finally reuse the last mask.
+//! * [`Work`] — what a frame does once its rung is decided, shared by the
+//!   streaming loop and the server, with the one rung geometry: the
+//!   gaze-prior crop ([`gaze_prior_map`]), widened by
+//!   [`SamplerSpec::widened`], and the oracle score of a crop
+//!   ([`oracle_round_trip`]).
 //! * [`SoloError`] / [`FrameOutcome`] — the typed error layer replacing
 //!   infallible signatures on the streaming path, so faults propagate as
 //!   values rather than panics.
@@ -29,7 +34,14 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use solo_gaze::{GazeObservation, GazePoint, GazeSample, GazeSource, TrackerStatus};
 use solo_hw::Latency;
+use solo_sampler::{gaze_saliency, IndexMap, SamplerSpec};
 use solo_tensor::{seeded_rng, Tensor};
+
+/// Gaussian width, as a fraction of the crop grid, of the gaze saliency
+/// prior that steers a crop when no learned saliency map runs.
+const PRIOR_SIGMA_FRAC: f32 = 0.15;
+/// Peripheral pedestal of the gaze saliency prior.
+const PRIOR_FLOOR: f32 = 0.02;
 
 /// A typed failure on the streaming path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,13 +50,6 @@ pub enum SoloError {
     GazeUnavailable {
         /// How the tracker failed.
         status: TrackerStatus,
-    },
-    /// A frame overran its latency deadline even on the cheapest rung.
-    DeadlineExceeded {
-        /// Latency charged when the overrun was detected.
-        spent: Latency,
-        /// The configured per-frame deadline.
-        deadline: Latency,
     },
     /// A component was used before it was configured.
     NotConfigured(&'static str),
@@ -57,9 +62,6 @@ impl fmt::Display for SoloError {
         match self {
             SoloError::GazeUnavailable { status } => {
                 write!(f, "gaze unavailable (tracker {})", status.name())
-            }
-            SoloError::DeadlineExceeded { spent, deadline } => {
-                write!(f, "frame deadline exceeded ({spent} > {deadline})")
             }
             SoloError::NotConfigured(what) => write!(f, "{what} used before configuration"),
             SoloError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
@@ -436,6 +438,9 @@ impl DegradeAction {
     /// Number of ladder rungs.
     pub const RUNGS: usize = 5;
 
+    /// Display names of the rungs for tables, indexed by [`Self::rung`].
+    pub const NAMES: [&'static str; Self::RUNGS] = ["nominal", "hold", "widen", "uniform", "reuse"];
+
     /// The rung index, 0 (nominal) through 4 (reuse).
     pub fn rung(&self) -> usize {
         match self {
@@ -449,13 +454,7 @@ impl DegradeAction {
 
     /// Display name for tables.
     pub fn name(&self) -> &'static str {
-        match self {
-            DegradeAction::Nominal => "nominal",
-            DegradeAction::HoldFixation { .. } => "hold",
-            DegradeAction::WidenCrop { .. } => "widen",
-            DegradeAction::UniformFallback => "uniform",
-            DegradeAction::ReuseMask => "reuse",
-        }
+        Self::NAMES[self.rung()]
     }
 
     /// Whether this is a below-nominal rung.
@@ -481,9 +480,10 @@ pub struct ResilienceConfig {
     pub confidence_decay: f32,
     /// Confidence below which holding the fixation gives way to widening.
     pub confidence_floor: f32,
-    /// For cost-only evaluators: score degraded frames by round-tripping
-    /// the ground-truth mask through each rung's sampling geometry (an
-    /// oracle segmenter, isolating the sampling loss per rung).
+    /// Score each rung by round-tripping the ground-truth mask through
+    /// its crop ([`oracle_round_trip`]): an oracle segmenter, isolating
+    /// the sampling loss per rung. A cost-only streaming evaluator and the
+    /// server both score this way.
     pub score_round_trip: bool,
 }
 
@@ -605,6 +605,79 @@ impl DegradeLadder {
             DegradeAction::ReuseMask
         }
     }
+}
+
+/// What a frame does once its rung is decided, in streaming and in
+/// serving alike.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Work {
+    /// Segment a crop steered by `gaze`, with the sampler widened by the
+    /// area factor `widen` (1 on every rung but widen).
+    Run {
+        /// Where the crop is steered.
+        gaze: GazePoint,
+        /// Area factor of the widened sampler ([`SamplerSpec::widened`]).
+        widen: f32,
+    },
+    /// Segment a uniform full-frame subsample (no gaze prior).
+    RunUniform,
+    /// Present the previous mask.
+    Reuse,
+}
+
+impl Work {
+    /// The work a degraded rung asks for at `gaze`: widen runs a widened
+    /// crop, uniform the gaze-free fallback, and every other rung
+    /// presents the held mask.
+    pub fn for_rung(action: DegradeAction, gaze: GazePoint) -> Self {
+        match action {
+            DegradeAction::WidenCrop { factor } => Work::Run {
+                gaze,
+                widen: factor,
+            },
+            DegradeAction::UniformFallback => Work::RunUniform,
+            _ => Work::Reuse,
+        }
+    }
+
+    /// The crop of this work on `spec`, the nominal sampler geometry,
+    /// when it is steered by the gaze prior rather than a learned
+    /// saliency map: [`gaze_prior_map`] on the widened spec for a run, the
+    /// uniform map for the fallback, and `None` for a reuse.
+    pub fn prior_map(&self, spec: &SamplerSpec) -> Option<IndexMap> {
+        match *self {
+            Work::Run { gaze, widen } => Some(gaze_prior_map(&spec.widened(widen), gaze)),
+            Work::RunUniform => Some(IndexMap::uniform(spec)),
+            Work::Reuse => None,
+        }
+    }
+}
+
+/// The index map a gaze saliency prior builds on `spec`: a Gaussian of
+/// 0.15 of the output grid around `gaze`, on a 0.02 pedestal, scored on
+/// the output grid. A widened crop widens `spec` and keeps this prior, the
+/// same way a learned saliency map is widened. The prior's scratch goes
+/// back to the pool.
+pub fn gaze_prior_map(spec: &SamplerSpec, gaze: GazePoint) -> IndexMap {
+    let sal = gaze_saliency(
+        spec.out_h,
+        spec.out_w,
+        (gaze.x, gaze.y),
+        PRIOR_SIGMA_FRAC,
+        PRIOR_FLOOR,
+    );
+    let map = IndexMap::from_saliency(spec, &sal);
+    sal.recycle();
+    map
+}
+
+/// The oracle's mask on a crop: the full-resolution ground-truth mask
+/// `gt` sampled through `map` and reverse-sampled back. A perfect
+/// segmenter would display exactly this, so what it loses is the sampling
+/// loss of the crop alone.
+pub fn oracle_round_trip(map: &IndexMap, gt: &Tensor) -> Tensor {
+    let s = map.spec();
+    map.upsample_mask(map.sample_nearest(&gt.reshape(&[1, s.src_h, s.src_w])))
 }
 
 /// Accuracy aggregated over the frames spent on one ladder rung.
@@ -830,11 +903,6 @@ mod tests {
             status: TrackerStatus::Blink,
         };
         assert!(e.to_string().contains("blink"));
-        let e = SoloError::DeadlineExceeded {
-            spent: Latency::from_ms(70.0),
-            deadline: Latency::from_ms(60.0),
-        };
-        assert!(e.to_string().contains("deadline"));
         assert!(SoloError::NotConfigured("Ssa").to_string().contains("Ssa"));
     }
 

@@ -120,7 +120,7 @@ pub struct SpeculativeCandidate {
     /// The predictor's confidence in this candidate.
     pub confidence: f32,
     /// The prepared index map (bit-identical to what
-    /// [`FoveatedPipeline::index_map_at`] would build at `gaze`).
+    /// [`FoveatedPipeline::index_map_at`] would build at `gaze`, unwidened).
     pub map: IndexMap,
 }
 
@@ -241,33 +241,19 @@ impl FoveatedPipeline {
 
     /// The index map for a frame: preview → saliency → Eq. 2/3.
     pub fn index_map(&mut self, sample: &Sample) -> IndexMap {
-        self.index_map_at(&sample.image, sample.gaze)
+        self.index_map_at(&sample.image, sample.gaze, 1.0)
     }
 
     /// The index map for a raw frame given only the image and the gaze —
-    /// the streaming entry point, where no dataset `Sample` exists.
-    pub fn index_map_at(&mut self, image: &Tensor, gaze: GazePoint) -> IndexMap {
+    /// the streaming entry point, where no dataset `Sample` exists. The
+    /// sampler is widened by the area factor `widen`
+    /// ([`SamplerSpec::widened`]; 1 for the nominal crop), the resilience
+    /// ladder's hedge when the gaze has gone stale.
+    pub fn index_map_at(&mut self, image: &Tensor, gaze: GazePoint, widen: f32) -> IndexMap {
         let d = self.cfg.down_res;
         let preview = uniform_subsample(image, d, d);
         let s = self.saliency.saliency(&preview, gaze);
-        IndexMap::from_saliency(&self.cfg.spec(), &s)
-    }
-
-    /// [`Self::index_map_at`] with the sampling Gaussian widened by an
-    /// area factor `widen` (≥ 1; σ grows by `√widen`) — the resilience
-    /// ladder's hedge when the gaze prior has gone stale.
-    pub fn index_map_widened(&mut self, image: &Tensor, gaze: GazePoint, widen: f32) -> IndexMap {
-        let d = self.cfg.down_res;
-        let preview = uniform_subsample(image, d, d);
-        let s = self.saliency.saliency(&preview, gaze);
-        let spec = SamplerSpec::new(
-            self.cfg.full_res,
-            self.cfg.full_res,
-            d,
-            d,
-            self.cfg.sigma * widen.max(1.0).sqrt(),
-        );
-        IndexMap::from_saliency(&spec, &s)
+        IndexMap::from_saliency(&self.cfg.spec().widened(widen), &s)
     }
 
     /// Speculation pre-warm: prepares saliency crops and SBS index maps for
@@ -385,11 +371,7 @@ impl FoveatedPipeline {
         } else {
             self.seg.infer(&sampled)
         };
-        let d = self.cfg.down_res;
-        let up = map
-            .upsample(&mask.reshape(&[1, d, d]))
-            .into_reshaped(&[self.cfg.full_res, self.cfg.full_res]);
-        let up = up.map(|v| if v > 0.5 { 1.0 } else { 0.0 });
+        let up = map.upsample_mask(mask);
         EvalScores {
             b_iou: binary_iou(&up, &sample.ioi_mask),
             c_iou: classified_iou(
@@ -751,7 +733,7 @@ mod tests {
         let set = p.speculate_maps(&sample.image, &candidates);
         assert_eq!(set.len(), 3);
         for (c, &(gaze, conf)) in set.candidates().iter().zip(candidates.iter()) {
-            let reactive = p.index_map_at(&sample.image, gaze);
+            let reactive = p.index_map_at(&sample.image, gaze, 1.0);
             assert_eq!(c.map, reactive, "speculated map diverged at {gaze:?}");
             assert_eq!(c.confidence, conf);
             reactive.recycle();

@@ -7,21 +7,17 @@ use solo_hw::calib::sensor::ADC_GROUPS_PER_COL;
 use solo_hw::soc::{Backbone as HwBackbone, Dataset as HwDataset, Pipeline, SocModel};
 use solo_hw::timing::FrameBudget;
 use solo_hw::Latency;
-use solo_sampler::{gaze_saliency, uniform_subsample, IndexMap, SamplerSpec};
+use solo_sampler::{uniform_subsample, IndexMap};
 use solo_scene::{Frame, VideoSequence};
 use solo_tensor::Tensor;
 
 use crate::metrics::{binary_iou, classified_iou, IouAccumulator};
 use crate::resilience::{
-    DegradeAction, FaultInjector, FaultPlan, FrameOutcome, ResilienceConfig, ResilientReport,
-    RobustnessReport, RungScore, SoloError,
+    oracle_round_trip, DegradeAction, FaultInjector, FaultPlan, FrameOutcome, ResilienceConfig,
+    ResilientReport, RobustnessReport, RungScore, SoloError, Work,
 };
 use crate::solonet::{FoveatedPipeline, PipelineConfig};
 use crate::ssa::{Ssa, SsaConfig};
-
-/// Measured gaze samples kept as context for the ladder's predicted
-/// HoldFixation rung (the predictor windows further internally).
-const PREDICTOR_HISTORY: usize = 32;
 
 /// Aggregate results of streaming a video through SOLO with the SSA.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -255,7 +251,7 @@ impl StreamingEvaluator {
             if decision.must_run() {
                 latency_total += run_cost;
                 if let Some(p) = self.pipeline.as_mut() {
-                    held = Some(segment_frame(p, &frame.image, frame.gaze.point));
+                    held = Some(segment_frame(p, &frame.image, frame.gaze.point, 1.0));
                 }
             } else {
                 skipped += 1;
@@ -398,7 +394,7 @@ impl StreamingEvaluator {
                             c.map.recycle();
                             out
                         }
-                        None => segment_frame(p, &frame.image, measured),
+                        None => segment_frame(p, &frame.image, measured, 1.0),
                     });
                 }
                 match hit {
@@ -464,39 +460,22 @@ impl StreamingEvaluator {
     /// [`ResilienceConfig::unlimited`] the produced base report is
     /// bit-identical to [`Self::run`] (asserted by the integration tests).
     ///
-    /// Without a trained pipeline, setting `config.score_round_trip` scores
-    /// each rung by round-tripping the ground-truth mask through that
-    /// rung's sampling geometry — an oracle segmenter that isolates the
-    /// sampling loss per rung.
+    /// A run segments the learned saliency crop when a trained pipeline is
+    /// attached. Without one, setting `config.score_round_trip` scores
+    /// each rung with [`oracle_round_trip`] on that rung's gaze-prior crop
+    /// ([`Work::prior_map`]), the crop the server builds too.
     pub fn run_with_faults(
         &mut self,
         video: &VideoSequence,
         plan: &FaultPlan,
         config: &ResilienceConfig,
     ) -> FrameOutcome<ResilientReport> {
-        self.run_with_faults_predicting(video, plan, config, None)
-    }
-
-    /// [`Self::run_with_faults`] with a gaze predictor wired into the
-    /// degradation ladder: during a blink or dropout the `HoldFixation`
-    /// rung consumes a *predicted* fixation (forecast from the measured
-    /// gaze history) instead of the decayed held one. With `predictor:
-    /// None` the behavior — and, under a zero-rate plan, the report — is
-    /// bit-identical to [`Self::run_with_faults`].
-    pub fn run_with_faults_predicting(
-        &mut self,
-        video: &VideoSequence,
-        plan: &FaultPlan,
-        config: &ResilienceConfig,
-        mut predictor: Option<&mut GazePredictor>,
-    ) -> FrameOutcome<ResilientReport> {
         plan.validate()?;
         config.validate()?;
         self.ssa.reset();
         let n = video.config().dataset.resolution;
         let down = n / 4;
-        let widen = config.widen_factor;
-        let oracle_sigma = PipelineConfig::for_dataset(&video.config().dataset, n, down).sigma;
+        let oracle_spec = PipelineConfig::for_dataset(&video.config().dataset, n, down).spec();
         let (bb, ds) = (self.hw_backbone, self.hw_dataset);
 
         let mut injector = FaultInjector::new(*plan);
@@ -516,7 +495,6 @@ impl StreamingEvaluator {
         let mut recovery_total = 0usize;
         let mut rung_scores = [IouAccumulator::new(); DegradeAction::RUNGS];
         let mut rung_frames = [0usize; DegradeAction::RUNGS];
-        let mut history: Vec<GazeSample> = Vec::new();
 
         for i in 0..video.len() {
             let frame = video.frame(i);
@@ -536,15 +514,12 @@ impl StreamingEvaluator {
                 {
                     Ok(decision) => {
                         ladder.reset();
-                        held_gaze = Some(obs.sample.point);
-                        history.push(obs.sample);
-                        if history.len() > PREDICTOR_HISTORY {
-                            history.remove(0);
-                        }
+                        let gaze = obs.sample.point;
+                        held_gaze = Some(gaze);
                         let work = if decision.must_run() {
-                            Work::Run(RunKind::Focused(obs.sample.point))
+                            Work::Run { gaze, widen: 1.0 }
                         } else {
-                            Work::Skip
+                            Work::Reuse
                         };
                         (DegradeAction::Nominal, work)
                     }
@@ -555,23 +530,14 @@ impl StreamingEvaluator {
                             DegradeAction::HoldFixation { .. } => {
                                 // The held fixation drives the SSA like a
                                 // static gaze: a view change still reruns,
-                                // a stable view still reuses. With a
-                                // predictor attached, the rung consumes a
-                                // forecast fixation instead of the decayed
-                                // held one.
-                                let gaze = match predictor.as_deref_mut() {
-                                    Some(p) if history.len() >= 2 => p.predict(&history).point,
-                                    _ => gaze,
-                                };
+                                // a stable view still reuses.
                                 if self.ssa.step(&preview, gaze, false).must_run() {
-                                    Work::Run(RunKind::Focused(gaze))
+                                    Work::Run { gaze, widen: 1.0 }
                                 } else {
-                                    Work::Skip
+                                    Work::Reuse
                                 }
                             }
-                            DegradeAction::WidenCrop { .. } => Work::Run(RunKind::Widened(gaze)),
-                            DegradeAction::UniformFallback => Work::Run(RunKind::Uniform),
-                            DegradeAction::Nominal | DegradeAction::ReuseMask => Work::Skip,
+                            _ => Work::for_rung(action, gaze),
                         };
                         (action, work)
                     }
@@ -581,22 +547,19 @@ impl StreamingEvaluator {
             // Charge the frame against the deadline, escalating to cheaper
             // rungs while the prospective total would overrun. Each rung is
             // priced where it is charged (a memo lookup); a dead sub-group
-            // skips its readout rows on the SBS-running rungs.
+            // skips its readout rows on the SBS-running rungs. An unwidened
+            // run with no dead group prices exactly as `evaluate(Solo)`.
             let spike = faults.latency_spike.unwrap_or(1.0);
             let dead = faults.dead_group.map(|g| g % ADC_GROUPS_PER_COL);
             let mut frame_overrun = false;
             let total = loop {
-                let bd = match &work {
-                    Work::Skip => self.soc.skip_path(ds),
-                    Work::Run(RunKind::Uniform) => self.soc.uniform_fallback_path(bb, ds),
-                    Work::Run(RunKind::Widened(_)) => {
+                let bd = match work {
+                    Work::Run { widen, .. } => {
                         self.soc
-                            .degraded_solo_path(bb, ds, widen as f64, dead.as_slice())
+                            .degraded_solo_path(bb, ds, f64::from(widen), dead.as_slice())
                     }
-                    Work::Run(RunKind::Focused(_)) if dead.is_some() => {
-                        self.soc.degraded_solo_path(bb, ds, 1.0, dead.as_slice())
-                    }
-                    Work::Run(RunKind::Focused(_)) => self.soc.evaluate(Pipeline::Solo, bb, ds),
+                    Work::RunUniform => self.soc.uniform_fallback_path(bb, ds),
+                    Work::Reuse => self.soc.skip_path(ds),
                 };
                 // The spike hits the segmentation stage only; the addition
                 // is exact for spike == 1, keeping fault-free runs
@@ -609,14 +572,14 @@ impl StreamingEvaluator {
                     DegradeAction::Nominal
                     | DegradeAction::HoldFixation { .. }
                     | DegradeAction::WidenCrop { .. }
-                        if matches!(work, Work::Run(_)) =>
+                        if matches!(work, Work::Run { .. }) =>
                     {
                         action = DegradeAction::UniformFallback;
-                        work = Work::Run(RunKind::Uniform);
+                        work = Work::RunUniform;
                     }
                     DegradeAction::UniformFallback => {
                         action = DegradeAction::ReuseMask;
-                        work = Work::Skip;
+                        work = Work::Reuse;
                     }
                     _ => {
                         // Already on the floor: charge it and record the
@@ -635,31 +598,23 @@ impl StreamingEvaluator {
             latency_total += total.ms();
 
             // Execute the work.
-            match &work {
-                Work::Skip => skipped += 1,
-                Work::Run(kind) => {
-                    if let Some(p) = self.pipeline.as_mut() {
-                        held = Some(match kind {
-                            RunKind::Focused(g) => segment_frame(p, &frame.image, *g),
-                            RunKind::Widened(g) => {
-                                let map = p.index_map_widened(&frame.image, *g, widen);
-                                finish_segment(p, &map, &frame.image, *g)
-                            }
-                            RunKind::Uniform => {
-                                let map = IndexMap::uniform(&p.config().spec());
-                                finish_segment(p, &map, &frame.image, GazePoint::center())
-                            }
-                        });
-                    } else if config.score_round_trip {
-                        held = Some(oracle_round_trip(
-                            &frame,
-                            n,
-                            down,
-                            oracle_sigma,
-                            kind,
-                            widen,
-                        ));
+            if work == Work::Reuse {
+                skipped += 1;
+            } else if let Some(p) = self.pipeline.as_mut() {
+                held = Some(match work {
+                    Work::Run { gaze, widen } => segment_frame(p, &frame.image, gaze, widen),
+                    _ => {
+                        let map = IndexMap::uniform(&p.config().spec());
+                        finish_segment(p, &map, &frame.image, GazePoint::center())
                     }
+                });
+            } else if config.score_round_trip {
+                if let Some(map) = work.prior_map(&oracle_spec) {
+                    // The oracle's class is correct whenever the frame has
+                    // an IOI; the sentinel never matches a real class id.
+                    let class = frame.ioi_class.map_or(usize::MAX, |c| c.id());
+                    held = Some((oracle_round_trip(&map, &frame.ioi_mask), class));
+                    map.recycle();
                 }
             }
 
@@ -704,22 +659,6 @@ impl StreamingEvaluator {
     }
 }
 
-/// What a frame actually does once its rung is decided.
-enum Work {
-    Run(RunKind),
-    Skip,
-}
-
-/// How a run frame samples the image.
-enum RunKind {
-    /// Saliency-focused crop at this gaze (nominal or held fixation).
-    Focused(GazePoint),
-    /// Saliency crop with the widened Gaussian at this gaze.
-    Widened(GazePoint),
-    /// Uniform index map, no gaze prior.
-    Uniform,
-}
-
 /// The displayed mask's `(b-IoU, c-IoU)` against `frame`'s ground truth,
 /// when a mask is held and the frame has an IOI.
 fn score_held(held: &Option<(Tensor, usize)>, frame: &Frame) -> Option<(f32, f32)> {
@@ -738,50 +677,16 @@ fn mean(sum: f64, count: usize) -> f32 {
     }
 }
 
-/// Oracle scoring for cost-only runs: round-trip the ground-truth mask
-/// through the rung's sampling geometry. A perfect segmenter would score
-/// exactly this — what remains is the sampling loss of the rung itself.
-fn oracle_round_trip(
-    frame: &Frame,
-    n: usize,
-    d: usize,
-    sigma: f32,
-    kind: &RunKind,
-    widen: f32,
-) -> (Tensor, usize) {
-    let spec = |s: f32| SamplerSpec::new(n, n, d, d, s);
-    let map = match kind {
-        RunKind::Focused(g) => {
-            IndexMap::from_saliency(&spec(sigma), &gaze_saliency(d, d, (g.x, g.y), 0.15, 0.02))
-        }
-        RunKind::Widened(g) => {
-            let k = widen.max(1.0).sqrt();
-            IndexMap::from_saliency(
-                &spec(sigma * k),
-                &gaze_saliency(d, d, (g.x, g.y), 0.15 * k, 0.02),
-            )
-        }
-        RunKind::Uniform => IndexMap::uniform(&spec(sigma)),
-    };
-    let gt = frame.ioi_mask.reshape(&[1, n, n]);
-    let up = map
-        .upsample(&map.sample_nearest(&gt))
-        .into_reshaped(&[n, n])
-        .map(|v| if v > 0.5 { 1.0 } else { 0.0 });
-    // The oracle's class is correct whenever the frame has an IOI; the
-    // sentinel never matches a real class id.
-    let class = frame.ioi_class.map(|c| c.id()).unwrap_or(usize::MAX);
-    (up, class)
-}
-
-/// Runs the foveated pipeline on a raw frame, returning the full-resolution
-/// binarized mask and the predicted class.
+/// Runs the foveated pipeline on a raw frame with its learned saliency
+/// crop at `gaze`, the sampler widened by the area factor `widen`,
+/// returning the full-resolution binarized mask and the predicted class.
 fn segment_frame(
     p: &mut FoveatedPipeline,
     image: &Tensor,
-    gaze: solo_gaze::GazePoint,
+    gaze: GazePoint,
+    widen: f32,
 ) -> (Tensor, usize) {
-    let map = p.index_map_at(image, gaze);
+    let map = p.index_map_at(image, gaze, widen);
     finish_segment(p, &map, image, gaze)
 }
 
@@ -791,17 +696,11 @@ fn finish_segment(
     p: &mut FoveatedPipeline,
     map: &IndexMap,
     image: &Tensor,
-    gaze: solo_gaze::GazePoint,
+    gaze: GazePoint,
 ) -> (Tensor, usize) {
-    let full = p.config().full_res;
-    let d = p.config().down_res;
     let sampled = p.pack_sampled_at(map, image, gaze);
     let (mask, logits) = p.seg.infer(&sampled);
-    let up = map
-        .upsample(&mask.reshape(&[1, d, d]))
-        .into_reshaped(&[full, full])
-        .map(|v| if v > 0.5 { 1.0 } else { 0.0 });
-    (up, logits.argmax())
+    (map.upsample_mask(mask), logits.argmax())
 }
 
 #[cfg(test)]

@@ -948,14 +948,19 @@ mod tests {
 
     #[test]
     fn nominal_degraded_path_matches_solo_exactly() {
-        let b = Backbone::Hr;
-        for d in Dataset::MAIN {
-            assert_eq!(
-                soc().degraded_solo_path(b, d, 1.0, &[]),
-                soc().evaluate(Pipeline::Solo, b, d),
-                "{}",
-                d.name()
-            );
+        // The streaming ladder prices every gaze run, nominal included,
+        // through `degraded_solo_path`, so the identity must hold for every
+        // dataset the fault matrix streams (DAVIS too) and every backbone.
+        for b in Backbone::ALL {
+            for d in DATASETS {
+                assert_eq!(
+                    soc().degraded_solo_path(b, d, 1.0, &[]),
+                    soc().evaluate(Pipeline::Solo, b, d),
+                    "{} {}",
+                    b.name(),
+                    d.name()
+                );
+            }
         }
     }
 

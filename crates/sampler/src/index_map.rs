@@ -48,6 +48,17 @@ impl SamplerSpec {
     pub fn pixel_ratio(&self) -> f32 {
         (self.src_h * self.src_w) as f32 / (self.out_h * self.out_w) as f32
     }
+
+    /// This spec with the sampler widened by an area factor `widen`: σ
+    /// grows to σ·√max(widen, 1), so `widen = 1` leaves it bit for bit
+    /// unchanged. The degradation ladder's widened crop hedges a stale
+    /// gaze this way on whatever saliency map its rung samples.
+    pub fn widened(&self, widen: f32) -> Self {
+        Self {
+            sigma: self.sigma * widen.max(1.0).sqrt(),
+            ..*self
+        }
+    }
 }
 
 /// The sampling map `H(i, j) = [g1(i, j), g2(i, j)]`: for every output pixel
@@ -448,6 +459,21 @@ impl IndexMap {
         Tensor::from_vec(out, &[c, h, w])
     }
 
+    /// The full-resolution binary mask of a sampled one-channel mask
+    /// (`out_h · out_w` values, any shape): [`Self::upsample`], reshaped to
+    /// `[src_h, src_w]`, then thresholded at 0.5. The mask is moved into
+    /// the reverse sampler, not copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` does not hold `out_h · out_w` values.
+    pub fn upsample_mask(&self, mask: Tensor) -> Tensor {
+        let s = &self.spec;
+        self.upsample(&mask.into_reshaped(&[1, s.out_h, s.out_w]))
+            .into_reshaped(&[s.src_h, s.src_w])
+            .map(|v| if v > 0.5 { 1.0 } else { 0.0 })
+    }
+
     fn check_img(&self, img: &Tensor) {
         assert_eq!(img.shape().ndim(), 3, "image must be [C,H,W]");
         assert_eq!(
@@ -599,6 +625,27 @@ mod tests {
         let up = m.upsample(&down);
         let diff: f32 = img.sub(&up).norm_sq();
         assert_eq!(diff, 0.0);
+    }
+
+    #[test]
+    fn widening_scales_sigma_by_the_root_of_the_area_and_never_narrows() {
+        let base = spec();
+        assert_eq!(base.widened(1.0), base);
+        assert_eq!(base.widened(0.25), base);
+        assert_eq!(base.widened(4.0).sigma, 2.0 * base.sigma);
+        assert_eq!(base.widened(4.0).out_h, base.out_h);
+    }
+
+    #[test]
+    fn upsample_mask_thresholds_the_reverse_sampled_mask() {
+        let s = gaze_saliency(16, 16, (0.4, 0.6), 0.1, 0.02);
+        let m = IndexMap::from_saliency(&spec(), &s);
+        let mask = Tensor::from_vec((0..256).map(|i| (i % 7) as f32 / 6.0).collect(), &[16, 16]);
+        let up = m.upsample(&mask.reshape(&[1, 16, 16]));
+        let expected = up.map(|v| if v > 0.5 { 1.0 } else { 0.0 });
+        let got = m.upsample_mask(mask);
+        assert_eq!(got.shape().dims(), &[64, 64]);
+        assert_eq!(got.as_slice(), expected.as_slice());
     }
 
     #[test]

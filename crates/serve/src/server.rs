@@ -61,23 +61,19 @@ use std::sync::Arc;
 
 use solo_core::metrics::{binary_iou, IouAccumulator};
 use solo_core::resilience::{
-    DegradeAction, FrameFaults, FrameOutcome, ResilienceConfig, SoloError,
+    gaze_prior_map, oracle_round_trip, DegradeAction, FrameFaults, FrameOutcome, ResilienceConfig,
+    SoloError, Work,
 };
 use solo_gaze::{GazeObservation, GazePoint};
 use solo_hw::soc::{Backbone, CostBreakdown, SocModel};
 use solo_hw::timing::FrameBudget;
 use solo_hw::Latency;
-use solo_sampler::{gaze_saliency, uniform_subsample, IndexMap};
+use solo_sampler::uniform_subsample;
 use solo_tensor::Tensor;
 
 use crate::model::{Precision, ServeModel};
 use crate::session::{Session, SessionSpec, SessionStats};
 use crate::supervisor::{HealthSignal, Supervisor, SupervisorConfig};
-
-/// Gaussian width (as a grid fraction) of the gaze saliency prior.
-const SALIENCY_SIGMA_FRAC: f32 = 0.15;
-/// Peripheral saliency pedestal.
-const SALIENCY_FLOOR: f32 = 0.02;
 
 /// Server knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -211,51 +207,9 @@ pub struct SupervisedTickReport {
     pub injected: usize,
 }
 
-/// What a session is asked to do this tick, after SSA + ladder + budget.
-enum Work {
-    /// Segment the crop at this gaze with this widen area factor.
-    Run { gaze: GazePoint, widen: f32 },
-    /// Segment a uniform full-frame subsample.
-    RunUniform,
-    /// Present the previous mask.
-    Reuse,
-}
-
-impl Work {
-    /// The retry a ladder rung asks for at `gaze`: widen re-runs a widened
-    /// crop, uniform the gaze-free fallback; every other rung presents the
-    /// held mask.
-    fn for_rung(action: DegradeAction, gaze: GazePoint) -> Self {
-        match action {
-            DegradeAction::WidenCrop { factor } => Work::Run {
-                gaze,
-                widen: factor,
-            },
-            DegradeAction::UniformFallback => Work::RunUniform,
-            _ => Work::Reuse,
-        }
-    }
-}
-
 /// The shared-compute part of a priced frame: ESNet plus segmentation.
 fn shared(bd: CostBreakdown) -> Latency {
     bd.esnet.0 + bd.segmentation.0
-}
-
-/// The index map warping `ses`'s frame onto a `crop²` grid around `gaze`:
-/// the gaze saliency prior, with the sampler σ widened by `√widen` — the
-/// crop of every gaze-steered run and probe.
-fn gaze_map(ses: &Session, crop: usize, gaze: GazePoint, widen: f32) -> IndexMap {
-    let sal = gaze_saliency(
-        crop,
-        crop,
-        (gaze.x, gaze.y),
-        SALIENCY_SIGMA_FRAC,
-        SALIENCY_FLOOR,
-    );
-    let map = IndexMap::from_saliency(&ses.sampler_spec(crop, widen), &sal);
-    sal.recycle();
-    map
 }
 
 /// The multi-session server (see the module docs).
@@ -729,22 +683,13 @@ impl Server {
         let mut crops = Vec::new();
         for ((&i, (frame, ..)), (rung, w)) in live.iter().zip(&observed).zip(&work) {
             let ses = &mut self.sessions[i];
-            let map = match w {
-                Work::Run { gaze, widen } => gaze_map(ses, crop, *gaze, *widen),
-                Work::RunUniform => IndexMap::uniform(&ses.sampler_spec(crop, 1.0)),
-                Work::Reuse => {
-                    ses.stats_mut().reuses += 1;
-                    continue;
-                }
+            let Some(map) = w.prior_map(&ses.sampler_spec(crop, 1.0)) else {
+                ses.stats_mut().reuses += 1;
+                continue;
             };
             ses.stats_mut().runs += 1;
             if score {
-                let n = ses.resolution();
-                let gt = frame.ioi_mask.reshape(&[1, n, n]);
-                let up = map
-                    .upsample(&map.sample_nearest(&gt))
-                    .into_reshaped(&[n, n])
-                    .map(|v| if v > 0.5 { 1.0 } else { 0.0 });
+                let up = oracle_round_trip(&map, &frame.ioi_mask);
                 self.rung_scores[*rung].push(binary_iou(&up, &frame.ioi_mask), 0.0);
             }
             crops.push(map.sample_bilinear(&frame.image));
@@ -814,7 +759,8 @@ impl Server {
             let charge = shared(self.soc.probe_path(self.cfg.backbone, ds));
             let gaze = obs.sample.point;
             cand.set_last_gaze(gaze);
-            let c = gaze_map(&cand, crop, gaze, 1.0).sample_bilinear(&frame.image);
+            let c =
+                gaze_prior_map(&cand.sampler_spec(crop, 1.0), gaze).sample_bilinear(&frame.image);
             let masks = self
                 .model
                 .infer_batch(std::slice::from_ref(&c), self.cfg.precision);
@@ -900,6 +846,46 @@ mod tests {
         match Server::new(model, cfg) {
             Ok(s) => s,
             Err(e) => panic!("{e}"),
+        }
+    }
+
+    #[test]
+    fn widen_crop_is_one_geometry_for_serving_and_the_streaming_oracle() {
+        use crate::session::ScenePreset;
+        use solo_core::solonet::PipelineConfig;
+        use solo_sampler::{gaze_saliency, IndexMap, SamplerSpec};
+
+        let crop = ServeModelConfig::paper_default().crop_side;
+        let gaze = GazePoint::new(0.35, 0.6);
+        let widen = Work::for_rung(DegradeAction::WidenCrop { factor: 2.0 }, gaze);
+        let presets = [
+            ScenePreset::Aria,
+            ScenePreset::Lvis,
+            ScenePreset::Ade,
+            ScenePreset::Davis,
+            ScenePreset::Crowded,
+            ScenePreset::Switching,
+        ];
+        for preset in presets {
+            let spec = SessionSpec {
+                seed: 3,
+                scene: preset,
+                plan: FaultPlan::none(),
+            };
+            let ses = Session::new(spec, 2, 8);
+            let n = ses.resolution();
+            assert_eq!(n, 96, "{}", preset.name());
+            // Serving's crop, and the cost-only streaming oracle's.
+            let served = widen.prior_map(&ses.sampler_spec(crop, 1.0));
+            let dataset = preset.video_config(2).dataset;
+            let oracle = widen.prior_map(&PipelineConfig::for_dataset(&dataset, n, n / 4).spec());
+            // Both widen the sampler only: the unwidened prior at σ·√2.
+            let prior = gaze_saliency(crop, crop, (gaze.x, gaze.y), 0.15, 0.02);
+            let sigma = ses.sigma() * 2.0f32.sqrt();
+            let expected =
+                IndexMap::from_saliency(&SamplerSpec::new(n, n, crop, crop, sigma), &prior);
+            assert_eq!(served.as_ref(), Some(&expected), "{}", preset.name());
+            assert_eq!(oracle.as_ref(), Some(&expected), "{}", preset.name());
         }
     }
 

@@ -325,15 +325,16 @@ impl Session {
         self.pipeline.sigma
     }
 
-    /// Sampler spec warping this session's frame onto a `crop²` grid, with
-    /// the σ widened by `√widen` on the widened rung (area factor `widen`).
+    /// Sampler spec warping this session's frame onto a `crop²` grid,
+    /// widened by the area factor `widen` ([`SamplerSpec::widened`]; 1 for
+    /// the nominal crop).
     ///
     /// # Panics
     ///
-    /// Panics if `crop` exceeds the rendered resolution or `widen < 0`.
+    /// Panics if `crop` is zero or exceeds the rendered resolution.
     pub fn sampler_spec(&self, crop: usize, widen: f32) -> SamplerSpec {
         let n = self.resolution();
-        SamplerSpec::new(n, n, crop, crop, self.sigma() * widen.max(1.0).sqrt())
+        SamplerSpec::new(n, n, crop, crop, self.sigma()).widened(widen)
     }
 
     /// Renders the next frame of the trace, looping when the video ends.
