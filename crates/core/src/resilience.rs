@@ -51,8 +51,6 @@ pub enum SoloError {
         /// How the tracker failed.
         status: TrackerStatus,
     },
-    /// A component was used before it was configured.
-    NotConfigured(&'static str),
     /// A configuration value is out of its documented range.
     InvalidConfig(&'static str),
 }
@@ -63,7 +61,6 @@ impl fmt::Display for SoloError {
             SoloError::GazeUnavailable { status } => {
                 write!(f, "gaze unavailable (tracker {})", status.name())
             }
-            SoloError::NotConfigured(what) => write!(f, "{what} used before configuration"),
             SoloError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
         }
     }
@@ -903,7 +900,6 @@ mod tests {
             status: TrackerStatus::Blink,
         };
         assert!(e.to_string().contains("blink"));
-        assert!(SoloError::NotConfigured("Ssa").to_string().contains("Ssa"));
     }
 
     #[test]

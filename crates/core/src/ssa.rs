@@ -79,9 +79,9 @@ impl SsaDecision {
 }
 
 /// The streaming state machine.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Ssa {
-    config: Option<SsaConfig>,
+    config: SsaConfig,
     last_preview: Option<Tensor>,
     last_gaze: Option<GazePoint>,
 }
@@ -90,20 +90,15 @@ impl Ssa {
     /// Creates the state machine.
     pub fn new(config: SsaConfig) -> Self {
         Self {
-            config: Some(config),
+            config,
             last_preview: None,
             last_gaze: None,
         }
     }
 
     /// The configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if constructed via `Default` without a configuration.
     pub fn config(&self) -> &SsaConfig {
-        // lint:allow(P1): documented panic contract (see # Panics above) — misconfiguration is a programmer error
-        self.config.as_ref().expect("Ssa requires a configuration")
+        &self.config
     }
 
     /// Decides for one frame, given the current preview `I_f^d`, gaze, and
@@ -112,7 +107,7 @@ impl Ssa {
     /// reference is kept (the paper compares against the last *processed*
     /// frame, `I_f^{d,l}` and `g^l`).
     pub fn step(&mut self, preview: &Tensor, gaze: GazePoint, saccade: bool) -> SsaDecision {
-        let cfg = *self.config();
+        let cfg = self.config;
         let decision = match (&self.last_preview, &self.last_gaze) {
             (None, _) | (_, None) => SsaDecision::RunFirstFrame,
             (Some(last_preview), Some(last_gaze)) => {
@@ -148,9 +143,6 @@ impl Ssa {
         obs: &GazeObservation,
         saccade: bool,
     ) -> FrameOutcome<SsaDecision> {
-        if self.config.is_none() {
-            return Err(SoloError::NotConfigured("Ssa"));
-        }
         if !obs.is_usable() {
             return Err(SoloError::GazeUnavailable { status: obs.status });
         }
@@ -325,22 +317,6 @@ mod tests {
         // The reference frame is untouched: a stable follow-up reuses.
         let d = ssa.step(&preview(0.5), GazePoint::center(), false);
         assert_eq!(d, SsaDecision::ReuseStable);
-    }
-
-    #[test]
-    fn observe_without_config_is_a_typed_error() {
-        use crate::resilience::SoloError;
-        use solo_gaze::{EyePhase, GazeSample};
-        let mut ssa = Ssa::default();
-        let obs = GazeObservation::valid(GazeSample {
-            t_ms: 0.0,
-            point: GazePoint::center(),
-            phase: EyePhase::Fixation,
-        });
-        assert_eq!(
-            ssa.observe(&preview(0.5), &obs, false),
-            Err(SoloError::NotConfigured("Ssa"))
-        );
     }
 
     #[test]

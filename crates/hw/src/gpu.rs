@@ -63,23 +63,6 @@ impl GpuModel {
         }
     }
 
-    /// Builds a model from explicit `(gflops, latency_ms)` anchors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two anchors are given or they are not strictly
-    /// ascending in both coordinates.
-    pub fn from_anchors(anchors: Vec<(f64, f64)>, power_w: f64) -> Self {
-        assert!(anchors.len() >= 2, "need at least two anchors");
-        for w in anchors.windows(2) {
-            assert!(
-                w[1].0 > w[0].0 && w[1].1 > w[0].1,
-                "anchors must be strictly ascending"
-            );
-        }
-        Self { anchors, power_w }
-    }
-
     /// Latency of a dense workload of `gflops` on this GPU.
     ///
     /// # Panics
@@ -194,11 +177,5 @@ mod tests {
         let t = gpu.latency(516.0);
         let e = gpu.energy(t);
         assert!((e.mj() - cal::POWER_W * t.ms()).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn rejects_unsorted_anchors() {
-        GpuModel::from_anchors(vec![(10.0, 5.0), (5.0, 10.0)], 10.0);
     }
 }

@@ -30,11 +30,6 @@ impl FrameBudget {
         Self::new(Latency::from_ms(f64::INFINITY))
     }
 
-    /// Whether the deadline is infinite.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.us().is_infinite()
-    }
-
     /// Resets the spent counter at the top of a frame.
     pub fn start_frame(&mut self) {
         self.spent = Latency::ZERO;
@@ -224,7 +219,6 @@ mod tests {
     #[test]
     fn unlimited_budget_never_overruns() {
         let mut b = FrameBudget::unlimited();
-        assert!(b.is_unlimited());
         assert!(b.charge(Latency::from_s(1e9)));
         assert!(!b.would_overrun(Latency::from_s(1e12)));
         assert!(!b.overrun());

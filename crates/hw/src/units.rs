@@ -71,11 +71,6 @@ impl Energy {
     /// Zero energy.
     pub const ZERO: Energy = Energy(0.0);
 
-    /// From microjoules.
-    pub fn from_uj(uj: f64) -> Self {
-        Self(uj)
-    }
-
     /// From millijoules.
     pub fn from_mj(mj: f64) -> Self {
         Self(mj * 1e3)

@@ -45,12 +45,6 @@ impl Sgd {
         self.clip = Some(max_norm);
         self
     }
-
-    /// Sets a new learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
 }
 
 impl Optimizer for Sgd {
@@ -116,12 +110,6 @@ impl Adam {
     pub fn with_grad_clip(mut self, max_norm: f32) -> Self {
         self.clip = Some(max_norm);
         self
-    }
-
-    /// Sets a new learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
     }
 }
 

@@ -65,11 +65,6 @@ impl Param {
         &self.grad
     }
 
-    /// Mutable access to the accumulated gradient.
-    pub fn grad_mut(&mut self) -> &mut Tensor {
-        &mut self.grad
-    }
-
     /// Adds `g` into the accumulated gradient.
     ///
     /// # Panics
@@ -121,7 +116,6 @@ mod tests {
         assert_eq!(p.version(), 0);
         p.value_mut();
         assert_eq!(p.version(), 1);
-        p.grad_mut();
         p.accumulate(&Tensor::ones(&[2]));
         p.zero_grad();
         assert_eq!(p.version(), 1, "gradient traffic must not invalidate");

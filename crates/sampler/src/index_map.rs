@@ -44,11 +44,6 @@ impl SamplerSpec {
         }
     }
 
-    /// Downsampling ratio in pixel count (`H·W / h·w`).
-    pub fn pixel_ratio(&self) -> f32 {
-        (self.src_h * self.src_w) as f32 / (self.out_h * self.out_w) as f32
-    }
-
     /// This spec with the sampler widened by an area factor `widen`: σ
     /// grows to σ·√max(widen, 1), so `widen = 1` leaves it bit for bit
     /// unchanged. The degradation ladder's widened crop hedges a stale
@@ -229,23 +224,6 @@ impl IndexMap {
         px.sort_unstable();
         px.dedup();
         px.len()
-    }
-
-    /// For each source row, how many distinct selected pixels fall in it.
-    /// Drives the SBS readout-round model in `solo-hw`.
-    pub fn pixels_per_row(&self) -> Vec<usize> {
-        let mut per_row: Vec<Vec<usize>> = vec![Vec::new(); self.spec.src_h];
-        for (y, x) in self.pixel_indices() {
-            per_row[y].push(x);
-        }
-        per_row
-            .into_iter()
-            .map(|mut v| {
-                v.sort_unstable();
-                v.dedup();
-                v.len()
-            })
-            .collect()
     }
 
     /// Samples a `[C, H, W]` image with nearest-neighbour lookup — the
@@ -654,14 +632,6 @@ mod tests {
         let m = IndexMap::from_saliency(&spec(), &s);
         assert!(m.unique_pixel_count() <= 16 * 16);
         assert!(m.unique_pixel_count() > 0);
-    }
-
-    #[test]
-    fn pixels_per_row_sums_to_unique_count() {
-        let s = gaze_saliency(16, 16, (0.4, 0.6), 0.1, 0.02);
-        let m = IndexMap::from_saliency(&spec(), &s);
-        let sum: usize = m.pixels_per_row().iter().sum();
-        assert_eq!(sum, m.unique_pixel_count());
     }
 
     #[test]

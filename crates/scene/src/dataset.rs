@@ -19,9 +19,6 @@ pub struct DatasetConfig {
     /// models, which care about true pixel counts: 640 for LVIS, 512 for
     /// ADE20K, 960 for Aria, 480 for DAVIS).
     pub paper_resolution: usize,
-    /// The paper's downsampled size for the SOLO/LTD pipelines on this
-    /// corpus (80, 64, 120, 60 respectively).
-    pub paper_downsample: usize,
     /// Objects per scene (min, max).
     pub objects: (usize, usize),
     /// Object half-size range in world units.
@@ -40,7 +37,6 @@ impl DatasetConfig {
             name: "lvis-like".into(),
             resolution: 96,
             paper_resolution: 640,
-            paper_downsample: 80,
             objects: (6, 10),
             object_size: (0.06, 0.16),
             moving: false,
@@ -54,7 +50,6 @@ impl DatasetConfig {
             name: "ade-like".into(),
             resolution: 96,
             paper_resolution: 512,
-            paper_downsample: 64,
             objects: (4, 8),
             object_size: (0.09, 0.22),
             moving: false,
@@ -69,7 +64,6 @@ impl DatasetConfig {
             name: "aria-like".into(),
             resolution: 96,
             paper_resolution: 960,
-            paper_downsample: 120,
             objects: (4, 7),
             object_size: (0.10, 0.26),
             moving: false,
@@ -83,7 +77,6 @@ impl DatasetConfig {
             name: "davis-like".into(),
             resolution: 96,
             paper_resolution: 480,
-            paper_downsample: 60,
             objects: (3, 6),
             object_size: (0.10, 0.24),
             moving: true,
@@ -101,7 +94,6 @@ impl DatasetConfig {
             name: "crowded-like".into(),
             resolution: 96,
             paper_resolution: 640,
-            paper_downsample: 80,
             objects: (12, 18),
             object_size: (0.03, 0.08),
             moving: false,
@@ -118,7 +110,6 @@ impl DatasetConfig {
             name: "switching-like".into(),
             resolution: 96,
             paper_resolution: 480,
-            paper_downsample: 60,
             objects: (5, 9),
             object_size: (0.07, 0.16),
             moving: false,
@@ -130,11 +121,6 @@ impl DatasetConfig {
     pub fn with_resolution(mut self, resolution: usize) -> Self {
         self.resolution = resolution;
         self
-    }
-
-    /// The three accuracy-experiment presets of Table 2, in paper order.
-    pub fn accuracy_suite() -> Vec<DatasetConfig> {
-        vec![Self::lvis_like(), Self::ade_like(), Self::aria_like()]
     }
 }
 
@@ -278,9 +264,7 @@ mod tests {
         let lvis = DatasetConfig::lvis_like();
         let aria = DatasetConfig::aria_like();
         assert_eq!(lvis.paper_resolution, 640);
-        assert_eq!(lvis.paper_downsample, 80);
         assert_eq!(aria.paper_resolution, 960);
-        assert_eq!(aria.paper_downsample, 120);
         // LVIS is more cluttered with smaller objects than Aria.
         assert!(lvis.objects.1 > aria.objects.1);
         assert!(lvis.object_size.1 < aria.object_size.1);

@@ -362,11 +362,7 @@ impl VideoSequence {
         };
         Frame {
             image,
-            gaze: GazeSample {
-                t_ms: i as f64 * 1000.0 / self.config.fps as f64,
-                point: spec.gaze,
-                phase: spec.phase,
-            },
+            gaze: self.gaze(i),
             view: spec.view,
             ioi_index,
             ioi_mask,
@@ -374,17 +370,23 @@ impl VideoSequence {
         }
     }
 
+    /// Frame `i`'s gaze sample, without rendering the frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn gaze(&self, i: usize) -> GazeSample {
+        let spec = &self.specs[i];
+        GazeSample {
+            t_ms: i as f64 * 1000.0 / self.config.fps as f64,
+            point: spec.gaze,
+            phase: spec.phase,
+        }
+    }
+
     /// The full gaze trace without rendering any frames.
     pub fn gaze_trace(&self) -> Vec<GazeSample> {
-        self.specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| GazeSample {
-                t_ms: i as f64 * 1000.0 / self.config.fps as f64,
-                point: s.gaze,
-                phase: s.phase,
-            })
-            .collect()
+        (0..self.len()).map(|i| self.gaze(i)).collect()
     }
 
     /// The viewport per frame without rendering.

@@ -21,10 +21,12 @@
 //!
 //! The resilience layer rides on top: each session carries its own seeded
 //! fault plan, a [`Supervisor`] scores per-session health during
-//! [`Server::tick_supervised`], and chronically unhealthy sessions
-//! quarantine into a held-state stub until an exponential-backoff probe
-//! re-admits them from a [`SessionCheckpoint`] — all without perturbing a
-//! single bit of a healthy batch-mate's output.
+//! [`Server::tick_supervised`], and chronically unhealthy sessions park
+//! in place and serve a held-state stub until an exponential-backoff probe
+//! re-admits them. A probe replays the skipped frames' gazes into the
+//! parked session's fault injector and renders one frame — all without
+//! perturbing a single bit of a healthy batch-mate's output. A
+//! [`SessionCheckpoint`] snapshots a session for an exact restore.
 //!
 //! ```
 //! use solo_serve::{AdmitOutcome, ServeModel, ServeModelConfig, Server, ServerConfig, SessionSpec};

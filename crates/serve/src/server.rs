@@ -35,11 +35,12 @@
 //! observation filters through the session's own seeded
 //! [`FaultInjector`](solo_core::resilience::FaultInjector), a
 //! [`Supervisor`] scores per-session health, and chronically unhealthy
-//! sessions quarantine into a held-state stub (freeing envelope budget
-//! for the queue) until an exponential-backoff probe re-admits them from
-//! a [`SessionCheckpoint`](crate::SessionCheckpoint). Plain ticks honour
-//! those quarantines but never set one. Three more invariants the chaos
-//! tests pin:
+//! sessions park in place and serve a held-state stub (freeing envelope
+//! budget for the queue) until an exponential-backoff probe re-admits
+//! them. A probe replays the skipped frames' gazes into the parked
+//! session's injector and renders only the probe frame. Plain ticks
+//! honour those quarantines but never set one. Three more invariants the
+//! chaos tests pin:
 //!
 //! * **Fault isolation.** A session's faults are drawn from its own
 //!   injector and its tick is gated against its own slice of the
@@ -49,10 +50,11 @@
 //! * **Supervision is pay-as-faulted.** With every plan disabled,
 //!   supervised serving is bit-identical to [`Server::tick`] (reports
 //!   included) whenever the fleet fits the admission envelope.
-//! * **Deterministic restore.** checkpoint → park → probe → restore
-//!   replays the exact frame and fault sequence an uninterrupted session
-//!   would have seen (the probe fast-forwards the injector through every
-//!   skipped frame).
+//! * **Deterministic catch-up.** park → stub → probe replays the exact
+//!   frame and fault sequence an uninterrupted session would have seen
+//!   (the probe feeds the injector the gaze of every skipped frame before
+//!   it renders the probe frame), and checkpoint → restore resumes a
+//!   session bit-identically.
 //!
 //! [`DegradeLadder`]: solo_core::resilience::DegradeLadder
 
@@ -210,6 +212,26 @@ pub struct SupervisedTickReport {
 /// The shared-compute part of a priced frame: ESNet plus segmentation.
 fn shared(bd: CostBreakdown) -> Latency {
     bd.esnet.0 + bd.segmentation.0
+}
+
+/// The one ledger of a served slot-frame: counts it once in the session's
+/// lifetime stats and in the tick's report, at its ladder `rung` and as a
+/// segmented run (`ran`) or a mask reuse.
+fn count_slot_frame(st: &mut SessionStats, rep: &mut TickReport, rung: usize, ran: bool) {
+    st.frames += 1;
+    st.rung_frames[rung] += 1;
+    rep.rung_sessions[rung] += 1;
+    if rung > 0 {
+        st.degraded += 1;
+        rep.degraded += 1;
+    }
+    if ran {
+        st.runs += 1;
+        rep.ran += 1;
+    } else {
+        st.reuses += 1;
+        rep.reused += 1;
+    }
 }
 
 /// The multi-session server (see the module docs).
@@ -457,7 +479,8 @@ impl Server {
 
         // Phase 0: quarantined slots serve a held-state stub (zero shared
         // compute — the stub path is display-only) or, when due, run a
-        // re-admission probe outside the batch.
+        // re-admission probe outside the batch. A healthy probe served a
+        // nominal run; a stub or a failed probe reused at the floor.
         let mut live: Vec<usize> = Vec::with_capacity(total);
         for i in 0..total {
             if !self.supervisor.is_quarantined(i) {
@@ -465,33 +488,20 @@ impl Server {
                 continue;
             }
             rep.quarantined += 1;
-            if self.supervisor.probe_due(i, now) {
+            let ran = if self.supervisor.probe_due(i, now) {
                 rep.probes += 1;
                 let (healthy, charge) = self.run_probe(i, now, crop);
                 if !budget.charge(charge) {
                     rep.base.overrun = true;
                 }
-                if healthy {
-                    rep.readmitted += 1;
-                    rep.base.ran += 1;
-                    rep.base.rung_sessions[0] += 1;
-                } else {
-                    rep.base.reused += 1;
-                    rep.base.degraded += 1;
-                    rep.base.rung_sessions[floor] += 1;
-                }
+                rep.readmitted += usize::from(healthy);
+                healthy
             } else {
-                let ses = &mut self.sessions[i];
-                ses.skip_frame();
-                let st = ses.stats_mut();
-                st.frames += 1;
-                st.reuses += 1;
-                st.degraded += 1;
-                st.rung_frames[floor] += 1;
-                rep.base.reused += 1;
-                rep.base.degraded += 1;
-                rep.base.rung_sessions[floor] += 1;
-            }
+                self.sessions[i].skip_frame();
+                false
+            };
+            let rung = if ran { 0 } else { floor };
+            count_slot_frame(self.sessions[i].stats_mut(), &mut rep.base, rung, ran);
         }
         let l = live.len();
         self.frames_served += total;
@@ -653,15 +663,6 @@ impl Server {
             if !budget.charge(charge) {
                 rep.base.overrun = true;
             }
-
-            let st = ses.stats_mut();
-            st.frames += 1;
-            st.rung_frames[action.rung()] += 1;
-            rep.base.rung_sessions[action.rung()] += 1;
-            if action.is_degraded() {
-                st.degraded += 1;
-                rep.base.degraded += 1;
-            }
             signals[i] = Some(HealthSignal {
                 tracker_usable: obs.is_usable(),
                 slice_overrun: charge > slice,
@@ -674,25 +675,26 @@ impl Server {
             self.overruns += 1;
         }
 
-        // Phase 4: build every running session's warped crop (plus, when
-        // configured, the oracle round-trip score of its rung's sampling
-        // geometry), then segment them all through the batched head in
-        // `cfg.batch`-sized chunks.
+        // Phase 4: count each live slot-frame, build every running
+        // session's warped crop (plus, when configured, the oracle
+        // round-trip score of its rung's sampling geometry), then segment
+        // them all through the batched head in `cfg.batch`-sized chunks.
         let score = self.cfg.resilience.score_round_trip;
         let mut run_idx = Vec::new();
         let mut crops = Vec::new();
-        for ((&i, (frame, ..)), (rung, w)) in live.iter().zip(&observed).zip(&work) {
+        for ((&i, (frame, ..)), &(rung, w)) in live.iter().zip(&observed).zip(&work) {
             let ses = &mut self.sessions[i];
-            let Some(map) = w.prior_map(&ses.sampler_spec(crop, 1.0)) else {
-                ses.stats_mut().reuses += 1;
+            let map = w.prior_map(&ses.sampler_spec(crop, 1.0));
+            count_slot_frame(ses.stats_mut(), &mut rep.base, rung, map.is_some());
+            let Some(map) = map else {
                 continue;
             };
-            ses.stats_mut().runs += 1;
             if score {
                 let up = oracle_round_trip(&map, &frame.ioi_mask);
-                self.rung_scores[*rung].push(binary_iou(&up, &frame.ioi_mask), 0.0);
+                self.rung_scores[rung].push(binary_iou(&up, &frame.ioi_mask), 0.0);
             }
             crops.push(map.sample_bilinear(&frame.image));
+            map.recycle();
             run_idx.push(i);
         }
         for chunk_start in (0..crops.len()).step_by(self.cfg.batch) {
@@ -707,19 +709,16 @@ impl Server {
         for c in crops {
             c.recycle();
         }
-        rep.base.ran += run_idx.len();
-        rep.base.reused += l - run_idx.len();
         self.frames_ran += rep.base.ran;
 
         // Phase 5 (supervised ticks only): supervision. Streaks update from
-        // this tick's signals; sessions crossing a threshold checkpoint,
-        // park, and drop out of the batched dispatch starting next tick.
+        // this tick's signals; sessions crossing a threshold park in their
+        // slot and drop out of the batched dispatch starting next tick.
         if supervised {
             for i in self.supervisor.tick(&signals) {
                 if let Some(ses) = self.sessions.get_mut(i) {
-                    let cp = ses.checkpoint();
                     ses.park();
-                    self.supervisor.quarantine(i, cp, now);
+                    self.supervisor.quarantine(i, now);
                     rep.newly_quarantined += 1;
                 }
             }
@@ -727,71 +726,50 @@ impl Server {
         rep
     }
 
-    /// Runs one re-admission probe for quarantined slot `i`: restores a
-    /// candidate from the held checkpoint, fast-forwards it through every
-    /// frame the stub skipped (advancing frame cursor and fault injector
-    /// in lockstep, so the replay is exactly what an uninterrupted session
-    /// would have seen), then serves one frame. A usable gaze re-admits
-    /// the candidate with a freshly segmented solo frame; a dark one parks
-    /// it again with the advanced checkpoint and doubles the backoff.
-    /// Returns whether the probe succeeded and its shared-compute charge.
+    /// Runs one re-admission probe for quarantined slot `i` on the parked
+    /// session itself: catches its fault injector up through the gaze of
+    /// every frame the stub skipped (read from the video script, nothing
+    /// rendered, so the injector ends exactly where an uninterrupted
+    /// session's would), then renders and serves the one probe frame. A
+    /// usable gaze re-admits the session with a freshly segmented solo
+    /// frame; a dark one parks it again and doubles the backoff. Returns
+    /// whether the probe succeeded and its shared-compute charge.
     fn run_probe(&mut self, i: usize, now: usize, crop: usize) -> (bool, Latency) {
-        let mut cand = match self.supervisor.checkpoint(i) {
-            Some(cp) => Session::restore(cp),
-            None => return (false, Latency::ZERO),
+        let Some(ses) = self.sessions.get_mut(i) else {
+            return (false, Latency::ZERO);
         };
-        let target = match self.sessions.get(i) {
-            Some(parked) => parked.cursor(),
-            None => return (false, Latency::ZERO),
-        };
-        while cand.cursor() < target {
-            let f = cand.next_frame();
-            cand.injector_mut().observe(&f.gaze);
-        }
-        *cand.stats_mut() = *self.sessions[i].stats();
-        let frame = cand.next_frame();
-        let (obs, _faults) = cand.injector_mut().observe(&frame.gaze);
-        let ds = cand.spec().scene.hw_dataset();
-        if obs.is_usable() {
+        ses.catch_up();
+        let frame = ses.next_frame();
+        let (obs, _faults) = ses.injector_mut().observe(&frame.gaze);
+        let ds = ses.spec().scene.hw_dataset();
+        let healthy = obs.is_usable();
+        let charge = if healthy {
             // Healthy again: serve one unamortized solo frame (outside the
             // batch — probes never stack with healthy sessions' dispatch)
             // and re-admit.
-            let charge = shared(self.soc.probe_path(self.cfg.backbone, ds));
             let gaze = obs.sample.point;
-            cand.set_last_gaze(gaze);
-            let c =
-                gaze_prior_map(&cand.sampler_spec(crop, 1.0), gaze).sample_bilinear(&frame.image);
+            ses.set_last_gaze(gaze);
+            let map = gaze_prior_map(&ses.sampler_spec(crop, 1.0), gaze);
+            let c = map.sample_bilinear(&frame.image);
+            map.recycle();
             let masks = self
                 .model
                 .infer_batch(std::slice::from_ref(&c), self.cfg.precision);
             c.recycle();
             if let Some(m) = masks.into_iter().next() {
-                cand.set_last_mask(m);
+                ses.set_last_mask(m);
             }
-            cand.ladder_mut().reset();
-            let st = cand.stats_mut();
-            st.frames += 1;
-            st.runs += 1;
-            st.rung_frames[0] += 1;
-            self.sessions[i] = cand;
-            self.supervisor.record_probe(i, now, true, None);
-            (true, charge)
+            ses.ladder_mut().reset();
+            shared(self.soc.probe_path(self.cfg.backbone, ds))
         } else {
-            // Still dark: persist the advanced injector/cursor so the
-            // outage keeps draining across probes, and back off. The probe
-            // is charged a reuse frame's ESNet pass.
-            let charge = self.soc.skip_path(ds).esnet.0;
-            let st = cand.stats_mut();
-            st.frames += 1;
-            st.reuses += 1;
-            st.degraded += 1;
-            st.rung_frames[DegradeAction::ReuseMask.rung()] += 1;
-            cand.park();
-            let advanced = cand.checkpoint();
-            self.sessions[i] = cand;
-            self.supervisor.record_probe(i, now, false, Some(advanced));
-            (false, charge)
-        }
+            // Still dark: park again (the injector stays caught up to the
+            // probe frame, so the outage keeps draining across probes) and
+            // back off. The probe is charged a reuse frame's ESNet pass.
+            ses.park();
+            self.soc.skip_path(ds).esnet.0
+        };
+        self.supervisor.record_probe(i, now, healthy);
+        (healthy, charge)
     }
 
     /// Aggregated per-session stats, cloned out for reporting.

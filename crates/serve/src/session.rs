@@ -151,7 +151,8 @@ pub struct SessionStats {
 
 /// A restorable snapshot of one session's full serving state: SSA
 /// calibration, ladder rung, predictor hidden row, held mask, fault
-/// injector and frame cursor. Everything *except* the video frames, which
+/// injector, frame cursor and, for a parked session, the frame its
+/// injector stopped at. Everything *except* the video frames, which
 /// regenerate deterministically from the spec's seed — a restored session
 /// resumes bit-identically from its seed + frame index.
 #[derive(Debug, Clone)]
@@ -159,6 +160,7 @@ pub struct SessionCheckpoint {
     spec: SessionSpec,
     frames_per_video: usize,
     cursor: usize,
+    parked_at: Option<usize>,
     ssa: Ssa,
     ladder: DegradeLadder,
     injector: FaultInjector,
@@ -184,14 +186,19 @@ impl SessionCheckpoint {
 #[derive(Debug)]
 pub struct Session {
     spec: SessionSpec,
-    /// Rendered frames. `None` while parked (quarantined): the frames are
+    /// The video script (per-frame scene, view and gaze; frames render
+    /// from it on demand). `None` while parked (quarantined): the script is
     /// the one piece of state that regenerates from the seed, so parking
-    /// drops them to free memory and the next rendered frame lazily
+    /// drops it to free memory and the next frame or catch-up lazily
     /// regenerates the identical sequence.
     video: Option<VideoSequence>,
     video_cfg: VideoConfig,
     frames_per_video: usize,
     cursor: usize,
+    /// The frame cursor at [`Self::park`]: the first frame whose gaze the
+    /// fault injector has not seen. `None` unless parked since the last
+    /// catch-up.
+    parked_at: Option<usize>,
     ssa: Ssa,
     ladder: DegradeLadder,
     /// This session's seeded fault injector (a no-op for a healthy plan).
@@ -228,6 +235,7 @@ impl Session {
             video_cfg: cfg,
             frames_per_video,
             cursor: 0,
+            parked_at: None,
             ssa: Ssa::new(SsaConfig::paper_default(paper_side)),
             ladder: DegradeLadder::new(),
             injector: FaultInjector::new(spec.plan),
@@ -256,6 +264,7 @@ impl Session {
             spec: self.spec,
             frames_per_video: self.frames_per_video,
             cursor: self.cursor,
+            parked_at: self.parked_at,
             ssa: self.ssa.clone(),
             ladder: self.ladder.clone(),
             injector: self.injector.clone(),
@@ -283,6 +292,7 @@ impl Session {
             video_cfg: cfg,
             frames_per_video: cp.frames_per_video,
             cursor: cp.cursor,
+            parked_at: cp.parked_at,
             ssa: cp.ssa.clone(),
             ladder: cp.ladder.clone(),
             injector: cp.injector.clone(),
@@ -294,12 +304,28 @@ impl Session {
         }
     }
 
-    /// Parks the session (quarantine): drops the rendered video to free
-    /// memory. The session keeps serving its held mask through
-    /// [`Self::skip_frame`]; the next rendered frame regenerates the
-    /// identical sequence from the seed.
+    /// Parks the session (quarantine): drops the video script to free
+    /// memory and records the frame its fault injector stopped at. The
+    /// session keeps serving its held mask through [`Self::skip_frame`];
+    /// the next frame regenerates the identical script from the seed.
     pub fn park(&mut self) {
         self.video = None;
+        self.parked_at.get_or_insert(self.cursor);
+    }
+
+    /// Catches a parked session's fault injector up to its frame cursor:
+    /// feeds it the gaze of every frame skipped since [`Self::park`], read
+    /// from the video script without rendering. The injector reads only
+    /// the gaze, so it ends exactly where observing every skipped frame
+    /// would have left it. A no-op unless the session is parked.
+    pub(crate) fn catch_up(&mut self) {
+        let Some(from) = self.parked_at.take() else {
+            return;
+        };
+        let video = script(&mut self.video, &self.video_cfg, self.spec.seed);
+        for c in from..self.cursor {
+            self.injector.observe(&video.gaze(c % video.len()));
+        }
     }
 
     /// Whether the session is parked (video dropped).
@@ -341,11 +367,7 @@ impl Session {
     /// On a parked or freshly restored session this first regenerates the
     /// video from the spec's seed — the same bits [`Self::new`] produced.
     pub fn next_frame(&mut self) -> Frame {
-        let cfg = self.video_cfg.clone();
-        let seed = self.spec.seed;
-        let video = self
-            .video
-            .get_or_insert_with(|| VideoSequence::generate(cfg, &mut seeded_rng(seed)));
+        let video = script(&mut self.video, &self.video_cfg, self.spec.seed);
         let i = self.cursor % video.len();
         self.cursor += 1;
         video.frame(i)
@@ -411,6 +433,16 @@ impl Session {
     pub(crate) fn set_last_mask(&mut self, m: Tensor) {
         self.last_mask = Some(m);
     }
+}
+
+/// A session's video script, regenerated from its seed if parking
+/// dropped it: the same bits [`Session::new`] produced.
+fn script<'a>(
+    video: &'a mut Option<VideoSequence>,
+    cfg: &VideoConfig,
+    seed: u64,
+) -> &'a VideoSequence {
+    video.get_or_insert_with(|| VideoSequence::generate(cfg.clone(), &mut seeded_rng(seed)))
 }
 
 #[cfg(test)]
@@ -519,6 +551,35 @@ mod tests {
         let b = twin.next_frame();
         assert!(!s.is_parked());
         assert_eq!(a.image.as_slice(), b.image.as_slice());
+    }
+
+    #[test]
+    fn catch_up_replays_the_skipped_gazes_exactly() {
+        let spec = SessionSpec::chaos_nth(23, 1, 1.0);
+        let serve = |s: &mut Session| {
+            let f = s.next_frame();
+            s.injector_mut().observe(&f.gaze)
+        };
+        // k = 40 wraps the 16-frame video loop during the catch-up.
+        for k in [0usize, 1, 5, 40] {
+            let mut a = Session::new(spec, 16, 8);
+            let mut b = Session::new(spec, 16, 8);
+            for _ in 0..3 {
+                assert_eq!(serve(&mut a), serve(&mut b));
+            }
+            // A observes the k frames; B parks and skips them.
+            b.park();
+            for _ in 0..k {
+                serve(&mut a);
+                b.skip_frame();
+            }
+            b.catch_up();
+            assert_eq!(a.cursor(), b.cursor(), "k = {k}");
+            for t in 0..24 {
+                assert_eq!(serve(&mut a), serve(&mut b), "k = {k}, frame {t}");
+                assert_eq!(a.cursor(), b.cursor());
+            }
+        }
     }
 
     #[test]

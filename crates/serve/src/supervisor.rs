@@ -4,14 +4,13 @@
 //! The [`Supervisor`] is a pure state machine over slot indices — it never
 //! touches sessions, models or budgets. Each supervised tick the server
 //! feeds it one [`HealthSignal`] per live slot and it answers which slots
-//! to quarantine; for quarantined slots it schedules probes and holds the
-//! [`SessionCheckpoint`] the probe restores from. Keeping the machine
-//! session-free makes the quarantine policy unit-testable in isolation
-//! and keeps this hot path trivially panic-free.
+//! to quarantine; for quarantined slots it schedules the re-admission
+//! probes. The server parks a quarantined session in its own slot, so the
+//! machine holds no session state. Keeping it session-free makes the
+//! quarantine policy unit-testable in isolation and keeps this hot path
+//! trivially panic-free.
 
 use solo_core::resilience::{FrameOutcome, SoloError};
-
-use crate::session::SessionCheckpoint;
 
 /// Supervision thresholds and probe backoff knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,15 +87,10 @@ enum SlotState {
     },
     /// Out of the batched dispatch, serving a held-state stub.
     Quarantined {
-        /// Snapshot taken at quarantine (updated by each failed probe's
-        /// injector advance) — what a probe restores from.
-        checkpoint: Box<SessionCheckpoint>,
         /// Tick of the next re-admission probe.
         next_probe: usize,
         /// Current backoff (doubles per failed probe, capped).
         backoff: usize,
-        /// Tick the quarantine started.
-        since: usize,
     },
 }
 
@@ -167,39 +161,23 @@ impl Supervisor {
         }
     }
 
-    /// The checkpoint a probe of slot `i` restores from.
-    pub(crate) fn checkpoint(&self, i: usize) -> Option<&SessionCheckpoint> {
-        match self.slots.get(i) {
-            Some(SlotState::Quarantined { checkpoint, .. }) => Some(checkpoint),
-            _ => None,
-        }
-    }
-
-    /// Quarantines slot `i`, holding its restore checkpoint. The first
-    /// probe is scheduled `probe_backoff_ticks` after `now`.
-    pub(crate) fn quarantine(&mut self, i: usize, checkpoint: SessionCheckpoint, now: usize) {
+    /// Quarantines slot `i`. The first probe is scheduled
+    /// `probe_backoff_ticks` after `now`.
+    pub(crate) fn quarantine(&mut self, i: usize, now: usize) {
         if let Some(slot) = self.slots.get_mut(i) {
             let backoff = self.cfg.probe_backoff_ticks;
             *slot = SlotState::Quarantined {
-                checkpoint: Box::new(checkpoint),
                 next_probe: now + backoff,
                 backoff,
-                since: now,
             };
             self.quarantines += 1;
         }
     }
 
     /// Records a probe outcome for slot `i`: a healthy probe re-admits
-    /// the slot (streaks cleared); a failed one stores the advanced
-    /// checkpoint and doubles the backoff (capped).
-    pub(crate) fn record_probe(
-        &mut self,
-        i: usize,
-        now: usize,
-        healthy: bool,
-        advanced: Option<SessionCheckpoint>,
-    ) {
+    /// the slot (streaks cleared); a failed one doubles the backoff
+    /// (capped).
+    pub(crate) fn record_probe(&mut self, i: usize, now: usize, healthy: bool) {
         self.probes += 1;
         let cap = self.cfg.probe_backoff_cap;
         if let Some(slot) = self.slots.get_mut(i) {
@@ -207,15 +185,10 @@ impl Supervisor {
                 *slot = SlotState::live();
                 self.readmissions += 1;
             } else if let SlotState::Quarantined {
-                checkpoint,
                 next_probe,
                 backoff,
-                ..
             } = slot
             {
-                if let Some(cp) = advanced {
-                    *checkpoint = Box::new(cp);
-                }
                 *backoff = backoff.saturating_mul(2).min(cap);
                 *next_probe = now + *backoff;
             }
@@ -226,7 +199,7 @@ impl Supervisor {
     /// health signals (`None` for quarantined or probed slots). Streaks
     /// update in place; the returned indices are the slots whose streaks
     /// crossed a quarantine threshold this tick — the server parks them
-    /// and hands their checkpoints back via `Self::quarantine`.
+    /// and quarantines them via `Self::quarantine`.
     ///
     /// This is the supervision hot path: it must stay panic-free (lint
     /// rule P2 walks it), so every slot access is checked and a
@@ -277,30 +250,17 @@ impl Supervisor {
     pub fn readmissions(&self) -> usize {
         self.readmissions
     }
-
-    /// Ticks quarantined slot `i` has been parked, as of `now`.
-    pub fn quarantined_for(&self, i: usize, now: usize) -> Option<usize> {
-        match self.slots.get(i) {
-            Some(SlotState::Quarantined { since, .. }) => Some(now.saturating_sub(*since)),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{Session, SessionSpec};
 
     fn sup() -> Supervisor {
         match Supervisor::new(SupervisorConfig::paper_default()) {
             Ok(s) => s,
             Err(e) => panic!("paper default must validate: {e}"),
         }
-    }
-
-    fn cp() -> SessionCheckpoint {
-        Session::new(SessionSpec::nth(1, 0), 4, 8).checkpoint()
     }
 
     #[test]
@@ -348,7 +308,7 @@ mod tests {
         let mut s = sup();
         s.on_admit();
         let base = s.config().probe_backoff_ticks;
-        s.quarantine(0, cp(), 10);
+        s.quarantine(0, 10);
         assert!(s.is_quarantined(0));
         assert_eq!(s.quarantined_count(), 1);
         assert!(!s.probe_due(0, 10 + base - 1));
@@ -357,28 +317,26 @@ mod tests {
         let mut now = 10 + base;
         let mut expect = base;
         for _ in 0..4 {
-            s.record_probe(0, now, false, Some(cp()));
+            s.record_probe(0, now, false);
             expect = (expect * 2).min(s.config().probe_backoff_cap);
             assert!(!s.probe_due(0, now + expect - 1));
             assert!(s.probe_due(0, now + expect));
             now += expect;
         }
         assert_eq!(expect, s.config().probe_backoff_cap);
-        assert_eq!(s.quarantined_for(0, now), Some(now - 10));
         // A healthy probe re-admits with cleared streaks.
-        s.record_probe(0, now, true, None);
+        s.record_probe(0, now, true);
         assert!(!s.is_quarantined(0));
         assert_eq!(s.readmissions(), 1);
         assert_eq!(s.probes(), 5);
         assert_eq!(s.quarantines(), 1);
-        assert!(s.checkpoint(0).is_none());
     }
 
     #[test]
     fn quarantined_and_missing_slots_never_panic_the_tick() {
         let mut s = sup();
         s.on_admit();
-        s.quarantine(0, cp(), 1);
+        s.quarantine(0, 1);
         // Signals for a quarantined slot and for slots beyond the vec.
         let sig = Some(HealthSignal {
             slice_overrun: true,
